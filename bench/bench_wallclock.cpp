@@ -193,9 +193,11 @@ void BM_OocExecutor(benchmark::State& state, int divisor) {
   const acsr::prof::IoAgg& io = engine.io_stats();
   state.counters["slabs"] = static_cast<double>(engine.num_slabs());
   state.counters["read_amp"] =
-      acsr::prof::find_io_metric("io.read_amplification")->compute(io);
+      acsr::prof::find_metric<acsr::prof::IoAgg>("io.read_amplification")
+          ->compute(io);
   state.counters["overlap_eff"] =
-      acsr::prof::find_io_metric("io.overlap_efficiency")->compute(io);
+      acsr::prof::find_metric<acsr::prof::IoAgg>("io.overlap_efficiency")
+          ->compute(io);
   state.counters["sim_makespan_ms"] = engine.last_makespan() * 1e3;
 }
 

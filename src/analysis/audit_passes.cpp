@@ -27,19 +27,6 @@ std::string at(const SourceFile& f, int p) {
   return f.path + ":" + std::to_string(f.ct(p).line);
 }
 
-/// grep-style `needle\b`: substring with a word boundary after it.
-bool contains_word(const std::string& hay, const std::string& needle) {
-  for (std::size_t pos = hay.find(needle); pos != std::string::npos;
-       pos = hay.find(needle, pos + 1)) {
-    const std::size_t end = pos + needle.size();
-    if (end == hay.size()) return true;
-    const char c = hay[end];
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_'))
-      return true;
-  }
-  return false;
-}
-
 /// All comment annotations `acsr-audit:<tag>(<arg>)` across the set.
 std::set<std::string> annotations(const SourceSet& set,
                                   const std::string& tag) {
@@ -285,7 +272,7 @@ GateResult audit_gates(const SourceSet& set) {
 }
 
 // ---------------------------------------------------------------------
-// Absorbed lint rules (scripts/lint.sh 1-4), token-level.
+// Absorbed lint rules (scripts/lint.sh 1-3), token-level.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -308,53 +295,11 @@ std::vector<std::string> u64_fields(const SourceFile& f) {
   return out;
 }
 
-/// Fields `std::uint64_t f = ...;` / `double f = ...;` inside
-/// `struct <name> { ... }`.
-std::vector<std::string> struct_fields(const SourceFile& f,
-                                       const std::string& name) {
-  std::vector<std::string> out;
-  for (int p = 0; p + 2 < f.n_code(); ++p) {
-    if (!is_ident(f, p, "struct") || !is_ident(f, p + 1, name.c_str()) ||
-        !is_punct(f, p + 2, "{"))
-      continue;
-    int depth = 1;
-    for (int q = p + 3; q < f.n_code() && depth > 0; ++q) {
-      if (is_punct(f, q, "{")) ++depth;
-      if (is_punct(f, q, "}")) --depth;
-      if (depth != 1) continue;
-      if (is_ident(f, q, "std") && is_punct(f, q + 1, "::") &&
-          is_ident(f, q + 2, "uint64_t") && is_ident(f, q + 3) &&
-          is_punct(f, q + 4, "="))
-        out.push_back(f.ct(q + 3).text);
-      else if (is_ident(f, q, "double") && is_ident(f, q + 1) &&
-               is_punct(f, q + 2, "="))
-        out.push_back(f.ct(q + 1).text);
-    }
-    break;
-  }
-  return out;
-}
-
 int count_ident(const SourceFile& f, const std::string& name) {
   int n = 0;
   for (int p = 0; p < f.n_code(); ++p)
     if (is_ident(f, p, name.c_str())) ++n;
   return n;
-}
-
-/// Passthrough registration: `MACRO(field, ...)` or a string literal
-/// containing `prefix.field` (word-bounded), in `reg`.
-bool has_passthrough(const SourceFile& reg, const std::string& macro,
-                     const std::string& prefix, const std::string& field) {
-  for (int p = 0; p + 2 < reg.n_code(); ++p)
-    if (is_ident(reg, p, macro.c_str()) && is_punct(reg, p + 1, "(") &&
-        is_ident(reg, p + 2, field.c_str()))
-      return true;
-  const std::string needle = prefix + "." + field;
-  for (int p = 0; p < reg.n_code(); ++p)
-    if (is_string(reg, p) && contains_word(reg.ct(p).text, needle))
-      return true;
-  return false;
 }
 
 }  // namespace
@@ -390,11 +335,10 @@ std::vector<AuditFinding> audit_lint(const SourceSet& set) {
                        "(memory.hpp / warp.hpp / storage/tier.hpp)");
   }
 
-  // Rules 3-4 need the concrete metering/metrics files; a synthetic set
-  // without them (the defect corpus) audits rules 1-2 only.
+  // Rule 3 needs the concrete metering files; a synthetic set without
+  // them (the defect corpus) audits rules 1-2 only. Metric passthrough
+  // parity is a compile-time check in src/prof/metrics.cpp.
   const SourceFile* counters = find_file(set, "src/vgpu/counters.hpp");
-  const SourceFile* metrics_cpp = find_file(set, "src/prof/metrics.cpp");
-  const SourceFile* metrics_hpp = find_file(set, "src/prof/metrics.hpp");
 
   if (counters != nullptr) {
     const std::vector<std::string> fields = u64_fields(*counters);
@@ -415,35 +359,6 @@ std::vector<AuditFinding> audit_lint(const SourceSet& set) {
       if (uses < 1)
         lint("Counters::" + fld,
              "never metered (warp.hpp / device.cpp / kernel.cpp)");
-      if (metrics_cpp != nullptr &&
-          !has_passthrough(*metrics_cpp, "ACSR_COUNTER_METRIC", "counters",
-                           fld))
-        lint("Counters::" + fld,
-             "no 'counters." + fld +
-                 "' passthrough metric registered in src/prof/metrics.cpp");
-    }
-  }
-
-  if (metrics_hpp != nullptr && metrics_cpp != nullptr) {
-    const struct {
-      const char* agg;
-      const char* macro;
-      const char* prefix;
-    } mirrors[] = {{"TenantAgg", "ACSR_TENANT_METRIC", "tenant"},
-                   {"IoAgg", "ACSR_IO_METRIC", "io"},
-                   {"SloAgg", "ACSR_SLO_METRIC", "slo"}};
-    for (const auto& m : mirrors) {
-      const std::vector<std::string> fields = struct_fields(*metrics_hpp,
-                                                            m.agg);
-      if (fields.empty())
-        lint(std::string("src/prof/metrics.hpp"),
-             std::string("could not parse any ") + m.agg + " fields");
-      for (const std::string& fld : fields)
-        if (!has_passthrough(*metrics_cpp, m.macro, m.prefix, fld))
-          lint(std::string(m.agg) + "::" + fld,
-               std::string("no '") + m.prefix + "." + fld +
-                   "' passthrough metric registered in "
-                   "src/prof/metrics.cpp");
     }
   }
 

@@ -3,7 +3,9 @@
 // precisions and scales reproducibly from the command line.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -64,6 +66,18 @@ class Cli {
  private:
   std::map<std::string, std::string> flags_;
 };
+
+/// The whole of `s` as a T (integer or floating point); nullopt for a null
+/// or empty string, trailing characters ("3x") or an out-of-range value.
+template <class T>
+std::optional<T> parse_exact(const char* s) {
+  if (s == nullptr) return std::nullopt;
+  const char* end = s + std::strlen(s);
+  T v{};
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return v;
+}
 
 /// Environment-variable override with default, used for ACSR_SCALE.
 inline long long env_int(const char* name, long long dflt) {

@@ -152,7 +152,6 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     std::vector<Stage> staged(n);
     std::deque<SlabDev> live;
     double stall_s = 0.0;
-    double compute_busy = 0.0;
     vgpu::KernelRun agg{};
     std::uint64_t launches = 0;
 
@@ -210,7 +209,6 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
                                     "spmv:slab" + std::to_string(i),
                                     "compute", base + c_start,
                                     base + comp_done[i]);
-      compute_busy += kernel_s;
 
       const auto& yh = bufs.y.host();
       std::copy(yh.begin(), yh.end(),
@@ -236,7 +234,6 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     // Work minus span: > 0 iff any two streams were ever busy at the
     // same instant — the prefetch/compute overlap the tier exists for.
     last_io_.overlap_s = std::max(0.0, busy - last_makespan_);
-    (void)compute_busy;
 
     agg.name = "ooc-csr";
     this->report_.last_run = agg;

@@ -1,12 +1,15 @@
 // Typed metric registry: the named, documented decomposition of the raw
-// Counters aggregate (plus the profiler's lane tallies and the roofline
-// terms) into the quantities the paper argues with — lane occupancy,
-// coalescing efficiency, divergence, roofline attribution, DP overhead.
+// aggregates (vgpu::Counters plus the profiler's lane tallies and roofline
+// terms, the serving, storage and SLO aggregates) into the quantities the
+// paper argues with — lane occupancy, coalescing efficiency, divergence,
+// roofline attribution, DP overhead.
 //
-// Two invariants the rest of the repo leans on:
-//   * every Counters field has a passthrough metric here (counter_metrics();
-//     scripts/lint.sh rule 4 greps this file so a new counter cannot ship
-//     unobservable), and
+// One mechanism serves every aggregate: MetricDef<Agg>, registry<Agg>()
+// and find_metric<Agg>(). Two invariants the rest of the repo leans on:
+//   * every field of vgpu::Counters, TenantAgg, IoAgg and SloAgg has a
+//     passthrough metric: each field table in metrics.cpp is checked
+//     against its aggregate's field count at compile time
+//     (covers_fields), so a new field without a row fails the build, and
 //   * metrics marked non-deterministic (host wall-clock attribution) are
 //     excluded from `acsr_prof --diff` regression comparisons — only model
 //     quantities, which are bit-reproducible, gate drift.
@@ -15,9 +18,12 @@
 // renders the same definitions prose-side.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 #include "prof/prof.hpp"
 
@@ -94,38 +100,12 @@ struct KernelAgg {
   }
 };
 
-struct MetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;  // human-readable definition (docs/OBSERVABILITY.md)
-  /// False for host wall-clock attribution: real, but machine-dependent,
-  /// so --diff skips it.
-  bool deterministic;
-  double (*compute)(const KernelAgg&);
-};
-
-/// Every registered metric, derived first, counter passthroughs after.
-const std::vector<MetricDef>& metric_registry();
-
-/// nullptr when unknown.
-const MetricDef* find_metric(const std::string& name);
-
-/// The Counters-field -> passthrough-metric map. Completeness (one entry
-/// per field of vgpu::Counters) is enforced by scripts/lint.sh rule 4 and
-/// by the registry test.
-struct CounterMetric {
-  const char* field;
-  const char* metric;
-};
-const std::vector<CounterMetric>& counter_metrics();
-
 // --- multi-tenant serving aggregates ---------------------------------------
 
 /// Per-tenant billing record kept by serve::BatchScheduler: simulated cost
-/// attribution of the batched SpMM launches plus queueing behaviour. Same
-/// completeness contract as vgpu::Counters: scripts/lint.sh rule 4 parses
-/// the fields of this struct and requires a passthrough metric per field
-/// in metrics.cpp, so a new billing column cannot ship unobservable.
+/// attribution of the batched SpMM launches plus queueing behaviour. Each
+/// field has a tenant.* passthrough metric, checked at compile time, so a
+/// new billing column cannot ship unobservable.
 struct TenantAgg {
   std::uint64_t requests = 0;        ///< SpMVs served for this tenant
   std::uint64_t batches = 0;         ///< batches carrying >= 1 of its requests
@@ -134,31 +114,13 @@ struct TenantAgg {
   double queue_wait_s = 0.0;         ///< simulated enqueue-to-launch wait, summed
 };
 
-/// A named, documented serving metric over one tenant's aggregate (the
-/// serve-plane mirror of MetricDef; acsr_prof --tenants prints one column
-/// per entry). All serve metrics are model quantities, hence deterministic.
-struct TenantMetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;
-  double (*compute)(const TenantAgg&);
-};
-
-/// Every registered tenant metric: field passthroughs plus the derived
-/// ratios (batch_width_avg, queue_wait_avg_s, cost_per_request_s).
-const std::vector<TenantMetricDef>& tenant_metric_registry();
-
-/// nullptr when unknown.
-const TenantMetricDef* find_tenant_metric(const std::string& name);
-
 // --- out-of-core storage aggregates ----------------------------------------
 
 /// Storage-plane accounting kept by storage::StorageTier and folded in by
 /// core::OocCsrEngine: every drive read, retry, checksum failure and the
-/// overlap the streaming executor achieved. Same completeness contract as
-/// vgpu::Counters / TenantAgg: scripts/lint.sh rule 4 parses the fields of
-/// this struct and requires a passthrough metric per field in metrics.cpp,
-/// so a new storage counter cannot ship unobservable.
+/// overlap the streaming executor achieved. Each field has an io.*
+/// passthrough metric, checked at compile time, so a new storage counter
+/// cannot ship unobservable.
 struct IoAgg {
   std::uint64_t reads = 0;             ///< chunk read requests completed
   std::uint64_t read_bytes = 0;        ///< bytes delivered from the drives
@@ -172,31 +134,13 @@ struct IoAgg {
   double overlap_s = 0.0;              ///< io time hidden behind compute
 };
 
-/// A named, documented storage metric over one run's IoAgg (the io-plane
-/// mirror of TenantMetricDef; acsr_prof --ooc prints one row per entry).
-/// All io metrics are model quantities, hence deterministic.
-struct IoMetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;
-  double (*compute)(const IoAgg&);
-};
-
-/// Every registered io metric: field passthroughs plus the derived ratios
-/// (read_amplification, overlap_efficiency, retry_rate).
-const std::vector<IoMetricDef>& io_metric_registry();
-
-/// nullptr when unknown.
-const IoMetricDef* find_io_metric(const std::string& name);
-
-// --- per-tenant SLO aggregates ----------------------------------------------
+// --- per-tenant SLO aggregates ---------------------------------------------
 
 /// Deterministic SLO summary of one tenant (or the "*" all-tenants view),
 /// filled by slo::SloMonitor::snapshot from its fixed-bucket histograms
-/// and sliding-window burn evaluation (docs/SLO.md). Same completeness
-/// contract as vgpu::Counters / TenantAgg / IoAgg: lint rule 4 (acsr_audit)
-/// parses the fields of this struct and requires a passthrough metric per
-/// field in metrics.cpp, so a new SLO column cannot ship unobservable.
+/// and sliding-window burn evaluation (docs/SLO.md). Each field has an
+/// slo.* passthrough metric, checked at compile time, so a new SLO column
+/// cannot ship unobservable.
 struct SloAgg {
   std::uint64_t requests = 0;    ///< requests observed
   std::uint64_t violations = 0;  ///< requests over the latency target
@@ -211,22 +155,79 @@ struct SloAgg {
   double queue_wait_max_s = 0.0;
 };
 
-/// A named, documented SLO metric over one tenant's aggregate (the
-/// slo-plane mirror of TenantMetricDef; acsr_slo --tenants prints one
-/// column per entry). All slo metrics are model quantities over
-/// fixed-bucket histograms, hence deterministic.
-struct SloMetricDef {
+// --- the registry ----------------------------------------------------------
+
+/// A named, documented metric over one aggregate: KernelAgg (acsr_prof's
+/// per-kernel and per-engine rows), TenantAgg (--tenants), IoAgg (--ooc)
+/// or SloAgg (acsr_slo).
+template <class Agg>
+struct MetricDef {
   const char* name;
   const char* unit;
-  const char* formula;
-  double (*compute)(const SloAgg&);
+  const char* formula;  // human-readable definition (docs/OBSERVABILITY.md)
+  /// False for host wall-clock attribution: real, but machine-dependent,
+  /// so --diff skips it.
+  bool deterministic;
+  double (*compute)(const Agg&);
 };
 
-/// Every registered slo metric: field passthroughs plus the derived
-/// violation_rate.
-const std::vector<SloMetricDef>& slo_metric_registry();
+/// Every registered metric over Agg, in display order: KernelAgg lists its
+/// derived metrics first and the Counters passthroughs after; the other
+/// aggregates list their field passthroughs first and derived ratios after.
+/// Instantiated for KernelAgg, TenantAgg, IoAgg and SloAgg.
+template <class Agg>
+std::span<const MetricDef<Agg>> registry();
 
 /// nullptr when unknown.
-const SloMetricDef* find_slo_metric(const std::string& name);
+template <class Agg>
+const MetricDef<Agg>* find_metric(const std::string& name);
+
+/// find_metric<IoAgg> under its older name, which perfbench/ calls.
+inline const MetricDef<IoAgg>* find_io_metric(const std::string& name) {
+  return find_metric<IoAgg>(name);
+}
+
+// --- compile-time field-table completeness ---------------------------------
+
+namespace detail {
+/// Converts to any member type, so `T{AnyField{}...}` probes how many
+/// initializers an aggregate accepts (unevaluated only, hence no body).
+struct AnyField {
+  template <class T>
+  constexpr operator T() const noexcept;
+};
+}  // namespace detail
+
+/// Number of members of the aggregate T.
+template <class T, class... Seen>
+consteval std::size_t field_count() {
+  static_assert(std::is_aggregate_v<T>);
+  if constexpr (requires { T{Seen{}..., detail::AnyField{}}; })
+    return field_count<T, Seen..., detail::AnyField>();
+  else
+    return sizeof...(Seen);
+}
+
+/// True when `table` holds one passthrough row per member of Owner: as
+/// many rows as fields, no name twice. Rows come from ACSR_PASSTHROUGH,
+/// which reads the member it names, so a misspelt field does not compile.
+template <class Owner, class Row, std::size_t N>
+consteval bool covers_fields(const Row (&table)[N]) {
+  if (N != field_count<Owner>()) return false;
+  for (std::size_t i = 0; i < N; ++i)
+    for (std::size_t j = i + 1; j < N; ++j)
+      if (std::string_view(table[i].name) == table[j].name) return false;
+  return true;
+}
 
 }  // namespace acsr::prof
+
+/// The passthrough generator behind every field table: a deterministic
+/// MetricDef<Agg> named `prefix #field`, documented as
+/// `lead #field " (" what ")"`, whose value is `a.via field` as a double.
+/// `via` is empty except for KernelAgg's Counters rows (`counters.`).
+#define ACSR_PASSTHROUGH(Agg, via, prefix, lead, field, unit, what)        \
+  ::acsr::prof::MetricDef<Agg> {                                           \
+    prefix #field, unit, lead #field " (" what ")", true,                  \
+        [](const Agg& a) { return static_cast<double>(a.via field); }      \
+  }

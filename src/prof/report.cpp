@@ -32,7 +32,7 @@ Grouped group(const std::vector<LaunchSample>& launches) {
 
 json::Object metrics_of(const KernelAgg& agg) {
   json::Object o;
-  for (const MetricDef& m : metric_registry())
+  for (const MetricDef<KernelAgg>& m : registry<KernelAgg>())
     o.emplace(m.name, m.compute(agg));
   return o;
 }
@@ -182,19 +182,24 @@ std::vector<Drift> diff_metrics(const json::Value& current,
   for (const auto& [name, csec] : ce->as_object()) {
     const json::Value* bsec = be->find(name);
     if (bsec == nullptr) continue;
-    for (const MetricDef& m : metric_registry()) {
+    for (const MetricDef<KernelAgg>& m : registry<KernelAgg>()) {
       if (!m.deterministic) continue;
       const json::Value* cv = total_of(csec, m.name);
       const json::Value* bv = total_of(*bsec, m.name);
-      if (cv == nullptr || bv == nullptr || !cv->is_number() ||
-          !bv->is_number())
-        continue;
+      const bool has_c = cv != nullptr && cv->is_number();
+      const bool has_b = bv != nullptr && bv->is_number();
+      const std::string path = "engines/" + name + "/total/" + m.name;
+      // A metric on one side only is structural drift, like an engine.
+      if (has_c != has_b)
+        out.push_back({path, has_b ? bv->as_number() : nan,
+                       has_c ? cv->as_number() : nan, 0.0});
+      if (!has_c || !has_b) continue;
       const double b = bv->as_number();
       const double c = cv->as_number();
       if (b == c) continue;
       const double rel = (c - b) / std::max(std::fabs(b), 1e-12);
       if (std::fabs(rel) <= threshold) continue;
-      out.push_back({"engines/" + name + "/total/" + m.name, b, c, rel});
+      out.push_back({path, b, c, rel});
     }
   }
   std::stable_sort(out.begin(), out.end(), [](const Drift& a,

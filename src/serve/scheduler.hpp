@@ -11,8 +11,9 @@
 //
 // Billing: a width-k batch's simulated seconds are split evenly over its
 // k requests (each column costs the same device work), and each request's
-// share is charged to its tenant's prof::TenantAgg — the registry that
-// acsr_prof --tenants renders and scripts/lint.sh rule 4 keeps complete.
+// share is charged to its tenant's prof::TenantAgg, rendered by
+// acsr_prof --tenants through prof::registry<TenantAgg>(); every field has
+// a passthrough metric, checked at compile time in src/prof/metrics.cpp.
 #pragma once
 
 #include <algorithm>
@@ -167,7 +168,7 @@ class BatchScheduler {
                                static_cast<double>(batches_);
   }
   /// Per-tenant billing, keyed by tenant name (render through
-  /// prof::tenant_metric_registry()).
+  /// prof::registry<prof::TenantAgg>()).
   const std::map<std::string, prof::TenantAgg>& tenants() const {
     return tenants_;
   }

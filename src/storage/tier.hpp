@@ -28,7 +28,8 @@
 // streams) and parks its completion; when the window is full the oldest
 // request completes first, modelling a producer blocking on a full
 // queue. poll()/drain() fire completion callbacks. All accounting lands
-// in a prof::IoAgg (io.* metrics, scripts/lint.sh rule 4 parity).
+// in a prof::IoAgg (io.* metrics; every field has one, checked at compile
+// time in src/prof/metrics.cpp).
 #pragma once
 
 #include <cstdint>

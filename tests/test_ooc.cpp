@@ -194,7 +194,8 @@ TEST_F(Ooc, StreamsEverySlabWithOverlapInsideBudget) {
   // streams must have been busy at the same instant (work > span).
   EXPECT_GT(io.overlap_s, 0.0);
   // Derived metric view of the same fact.
-  const auto* m = acsr::prof::find_io_metric("io.overlap_efficiency");
+  const auto* m = acsr::prof::find_metric<acsr::prof::IoAgg>(
+      "io.overlap_efficiency");
   ASSERT_NE(m, nullptr);
   EXPECT_GT(m->compute(io), 0.0);
 }

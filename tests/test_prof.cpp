@@ -5,8 +5,11 @@
 //      the cached-bool/null-pointer gate (metering parity itself is pinned
 //      by test_metering_invariance.cpp's profiled mode).
 //   2. The metric registry fully covers vgpu::Counters (one passthrough
-//      metric per field, each reading the right field) and the derived
-//      metric formulas hold on hand-built aggregates.
+//      metric per field, each reading the right field), the compile-time
+//      field-table check rejects a table missing a field, every registry
+//      row (order, name, unit, formula, deterministic flag) matches the
+//      golden dump, and the derived metric formulas hold on hand-built
+//      aggregates.
 //   3. Lane tallies are executor-path invariant: the affine fast path and
 //      the reference loop report bit-identical occupancy inputs.
 //   4. The Chrome trace export is schema-valid: required keys on every
@@ -124,8 +127,9 @@ TEST_F(Prof, EnabledProfilerCapturesLaunchesAndAdvancesClock) {
 // --- contract 2: registry completeness and formulas ------------------------
 
 TEST_F(Prof, EveryCountersFieldHasAPassthroughMetric) {
-  // The field list mirrors src/vgpu/counters.hpp; scripts/lint.sh rule 4
-  // greps the same correspondence so the two cannot drift apart silently.
+  // The field list mirrors src/vgpu/counters.hpp. The build already fails
+  // on a Counters field with no row (covers_fields in metrics.cpp); this
+  // pins the names the rows carry.
   const char* const kFields[] = {
       "blocks",        "warps",          "issue_cycles",
       "sp_flops",      "dp_flops",       "gmem_requests",
@@ -134,22 +138,22 @@ TEST_F(Prof, EveryCountersFieldHasAPassthroughMetric) {
       "smem_accesses", "atomic_ops",     "atomic_conflicts",
       "child_launches", "child_blocks",
   };
-  const auto& cm = acsr::prof::counter_metrics();
-  ASSERT_EQ(cm.size(), std::size(kFields));
   std::set<std::string> have;
-  for (const auto& c : cm) {
-    have.insert(c.field);
-    const acsr::prof::MetricDef* m = acsr::prof::find_metric(c.metric);
-    ASSERT_NE(m, nullptr) << c.metric;
-    EXPECT_TRUE(m->deterministic) << c.metric;
-    EXPECT_EQ(std::string(c.metric), "counters." + std::string(c.field));
+  for (const auto& m : acsr::prof::registry<KernelAgg>()) {
+    const std::string name = m.name;
+    if (name.rfind("counters.", 0) != 0) continue;
+    EXPECT_TRUE(m.deterministic) << name;
+    have.insert(name.substr(sizeof("counters.") - 1));
   }
+  EXPECT_EQ(have.size(), std::size(kFields));
   for (const char* f : kFields)
     EXPECT_TRUE(have.count(f)) << "no passthrough metric for field " << f;
+  EXPECT_EQ(acsr::prof::field_count<acsr::vgpu::Counters>(),
+            std::size(kFields));
 
   // Registry names are unique.
   std::set<std::string> names;
-  for (const auto& m : acsr::prof::metric_registry())
+  for (const auto& m : acsr::prof::registry<KernelAgg>())
     EXPECT_TRUE(names.insert(m.name).second) << "duplicate " << m.name;
 }
 
@@ -186,7 +190,7 @@ TEST_F(Prof, PassthroughMetricsReadTheRightField) {
   want["counters.child_launches"] = c.child_launches;
   want["counters.child_blocks"] = c.child_blocks;
   for (const auto& [name, expect] : want) {
-    const acsr::prof::MetricDef* m = acsr::prof::find_metric(name);
+    const auto* m = acsr::prof::find_metric<KernelAgg>(name);
     ASSERT_NE(m, nullptr) << name;
     EXPECT_EQ(m->compute(agg), static_cast<double>(expect)) << name;
   }
@@ -214,6 +218,63 @@ TEST_F(Prof, DerivedMetricFormulas) {
       acsr::prof::tex_coalescing_efficiency(LaneCounters{},
                                             acsr::vgpu::Counters{}),
       1.0);
+}
+
+// Seeded defect for the compile-time field-table check (covers_fields,
+// which metrics.cpp asserts for Counters, TenantAgg, IoAgg and SloAgg): a
+// toy aggregate's table that misses a field, or lists one twice, must be
+// rejected; the complete table must pass.
+struct ToyAgg {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  double wait_s = 0.0;
+};
+#define TOY(field) \
+  ACSR_PASSTHROUGH(ToyAgg, , "toy.", "ToyAgg::", field, "count", "toy")
+constexpr acsr::prof::MetricDef<ToyAgg> kToyComplete[] = {
+    TOY(hits), TOY(misses), TOY(wait_s)};
+constexpr acsr::prof::MetricDef<ToyAgg> kToyMissingOne[] = {TOY(hits),
+                                                            TOY(misses)};
+constexpr acsr::prof::MetricDef<ToyAgg> kToyDuplicate[] = {
+    TOY(hits), TOY(hits), TOY(wait_s)};
+#undef TOY
+static_assert(acsr::prof::field_count<ToyAgg>() == 3);
+static_assert(acsr::prof::covers_fields<ToyAgg>(kToyComplete));
+static_assert(!acsr::prof::covers_fields<ToyAgg>(kToyMissingOne));
+static_assert(!acsr::prof::covers_fields<ToyAgg>(kToyDuplicate));
+
+template <class Agg>
+void dump_registry(std::ostream& os, const char* agg_name) {
+  int i = 0;
+  for (const auto& m : acsr::prof::registry<Agg>())
+    os << agg_name << '\t' << i++ << '\t' << m.name << '\t' << m.unit
+       << '\t' << (m.deterministic ? 1 : 0) << '\t' << m.formula << '\n';
+}
+
+TEST_F(Prof, RegistryRowsMatchGolden) {
+  // tests/golden/metric_registry.tsv pins every row of all four
+  // registries: order, name, unit, deterministic flag and formula string
+  // (the documentation of record). A deliberate change edits both.
+  std::ostringstream got;
+  dump_registry<KernelAgg>(got, "KernelAgg");
+  dump_registry<acsr::prof::TenantAgg>(got, "TenantAgg");
+  dump_registry<acsr::prof::IoAgg>(got, "IoAgg");
+  dump_registry<acsr::prof::SloAgg>(got, "SloAgg");
+  std::ifstream in(std::string(ACSR_SOURCE_DIR) +
+                   "/tests/golden/metric_registry.tsv");
+  ASSERT_TRUE(in) << "missing tests/golden/metric_registry.tsv";
+  std::istringstream have(got.str());
+  std::string want_line, have_line;
+  int line = 0;
+  while (std::getline(in, want_line)) {
+    ++line;
+    ASSERT_TRUE(std::getline(have, have_line)) << "registry ends at line "
+                                               << line;
+    EXPECT_EQ(have_line, want_line) << "line " << line;
+  }
+  EXPECT_FALSE(std::getline(have, have_line))
+      << "registry has extra rows from line " << line + 1 << ": "
+      << have_line;
 }
 
 // --- contract 3: lane tallies are executor-path invariant -------------------
@@ -416,7 +477,7 @@ TEST_F(Prof, MetricsDocAndSummaryCoverRecordedEngines) {
     const Value* total = section.find("total");
     ASSERT_NE(total, nullptr) << ctx;
     // Every registered metric appears with a numeric value.
-    for (const auto& m : acsr::prof::metric_registry()) {
+    for (const auto& m : acsr::prof::registry<KernelAgg>()) {
       const Value* v = total->find(m.name);
       ASSERT_NE(v, nullptr) << ctx << "/" << m.name;
       EXPECT_TRUE(v->is_number() || v->is_null()) << ctx << "/" << m.name;
@@ -478,6 +539,29 @@ TEST_F(Prof, DiffMetricsFlagsDriftAndStructuralChanges) {
   ASSERT_EQ(structural.size(), 1u);
   EXPECT_EQ(structural[0].path, "engines/csr-scalar");
   EXPECT_TRUE(std::isnan(structural[0].current));
+
+  // A deterministic metric on one side only is structural drift too, in
+  // either direction and at any threshold.
+  Value pruned = doc;
+  Value& pruned_total = pruned.as_object()
+                            .at("engines")
+                            .as_object()
+                            .at("csr-scalar")
+                            .as_object()
+                            .at("total");
+  const double blocks = pruned_total.find("counters.child_blocks")->as_number();
+  pruned_total.as_object().erase("counters.child_blocks");
+  const std::string path = "engines/csr-scalar/total/counters.child_blocks";
+  auto missing = acsr::prof::diff_metrics(doc, pruned, 100.0);
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].path, path);
+  EXPECT_TRUE(std::isnan(missing[0].baseline));
+  EXPECT_EQ(missing[0].current, blocks);
+  missing = acsr::prof::diff_metrics(pruned, doc, 100.0);
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].path, path);
+  EXPECT_EQ(missing[0].baseline, blocks);
+  EXPECT_TRUE(std::isnan(missing[0].current));
 }
 
 // --- app phase markers ------------------------------------------------------

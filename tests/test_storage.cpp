@@ -314,7 +314,7 @@ TEST_F(Storage, DerivedIoMetricsComputeFromAgg) {
   tier.read_chunk("slab0", 0, whole(src, dst));
   const acsr::prof::IoAgg& s = tier.stats();
   bool saw_amp = false;
-  for (const auto& m : acsr::prof::io_metric_registry()) {
+  for (const auto& m : acsr::prof::registry<acsr::prof::IoAgg>()) {
     const double v = m.compute(s);
     if (std::string(m.name) == "io.read_amplification") {
       saw_amp = true;

@@ -21,9 +21,11 @@
 // The tool force-enables the profiler; ACSR_PROF need not be set.
 // docs/OBSERVABILITY.md documents the metric formulas and both schemas.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "analysis/models.hpp"
 #include "apps/rwr_batch.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "core/factory.hpp"
 #include "core/ooc_engine.hpp"
 #include "graph/corpus.hpp"
@@ -80,16 +83,7 @@ void render_tenants(const std::string& engine_name,
             << sched.served_requests() << " requests, " << sched.batches()
             << " batches, avg width " << sched.batch_width_avg()
             << ", makespan " << sched.clock_s() * 1e3 << " ms) ====\n";
-  std::printf("%-8s", "tenant");
-  for (const auto& m : acsr::prof::tenant_metric_registry())
-    std::printf("  %24s", m.name);
-  std::printf("\n");
-  for (const auto& [name, agg] : sched.tenants()) {
-    std::printf("%-8s", name.c_str());
-    for (const auto& m : acsr::prof::tenant_metric_registry())
-      std::printf("  %24.6g", m.compute(agg));
-    std::printf("\n");
-  }
+  acsr::prof::print_metric_table(sched.tenants(), 24);
 }
 
 /// The --ooc table: one streamed SpMV through the out-of-core tier, one
@@ -109,7 +103,7 @@ void render_ooc(const acsr::vgpu::DeviceSpec& spec,
             << engine.num_slabs() << " slabs, budget "
             << engine.budget_bytes() << " B, makespan "
             << engine.last_makespan() * 1e3 << " ms) ====\n";
-  for (const auto& m : acsr::prof::io_metric_registry())
+  for (const auto& m : acsr::prof::registry<acsr::prof::IoAgg>())
     std::printf("  %-26s %14.6g  %-8s %s\n", m.name, m.compute(io), m.unit,
                 m.formula);
 }
@@ -170,9 +164,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       opt.diff_path = v;
     } else if (arg == "--threshold") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.threshold = std::stod(v);
+      const std::optional<double> t = acsr::parse_exact<double>(next());
+      if (!t || !std::isfinite(*t) || *t < 0.0) return usage(argv[0]);
+      opt.threshold = *t;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--tenants") {

@@ -27,16 +27,19 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/rwr_batch.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "core/resilient.hpp"
 #include "graph/corpus.hpp"
 #include "prof/metrics.hpp"
 #include "prof/prof.hpp"
+#include "prof/report.hpp"
 #include "serve/scheduler.hpp"
 #include "slo/slo.hpp"
 #include "slo/trace.hpp"
@@ -102,22 +105,15 @@ void render_spans(const std::vector<acsr::slo::Span>& spans) {
 }
 
 /// The per-tenant SLO table: one row per tenant plus the "*" aggregate,
-/// one column per registered slo.* metric (lint rule 4 parity).
+/// one column per registered slo.* metric (every SloAgg field has one,
+/// checked at compile time).
 void render_slo(const acsr::slo::SloMonitor& mon) {
-  std::vector<std::string> rows = mon.tenant_names();
-  rows.push_back("*");
+  std::vector<std::pair<std::string, acsr::prof::SloAgg>> rows;
+  for (const std::string& t : mon.tenant_names())
+    rows.emplace_back(t, mon.snapshot(t));
+  rows.emplace_back("*", mon.snapshot("*"));
   std::printf("\n==== tenant SLO plane ====\n");
-  std::printf("%-8s", "tenant");
-  for (const auto& m : acsr::prof::slo_metric_registry())
-    std::printf("  %20s", m.name);
-  std::printf("\n");
-  for (const std::string& t : rows) {
-    const acsr::prof::SloAgg agg = mon.snapshot(t);
-    std::printf("%-8s", t.c_str());
-    for (const auto& m : acsr::prof::slo_metric_registry())
-      std::printf("  %20.6g", m.compute(agg));
-    std::printf("\n");
-  }
+  acsr::prof::print_metric_table(rows, 20);
 }
 
 }  // namespace
@@ -138,10 +134,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       opt.engine = v;
     } else if (arg == "--tenants") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.requests_per_tenant = std::stoi(v);
-      if (opt.requests_per_tenant < 1) return usage(argv[0]);
+      const std::optional<int> n = acsr::parse_exact<int>(next());
+      if (!n || *n < 1) return usage(argv[0]);
+      opt.requests_per_tenant = *n;
     } else if (arg == "--spans") {
       opt.spans = true;
     } else if (arg == "--trace") {
