@@ -434,7 +434,7 @@ void register_benches() {
 /// pair under the profiler, folded into one metrics document keyed
 /// "<engine>/<matrix>".
 int write_metrics(const std::string& path) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   acsr::prof::Profiler& prof = acsr::prof::Profiler::instance();
   prof.clear();
   auto one = [&](const char* engine, const char* matrix) {
@@ -450,7 +450,7 @@ int write_metrics(const std::string& path) {
   one("csr-scalar", "ENR");
   const acsr::json::Value doc =
       acsr::prof::metrics_doc(prof.launches(), prof.retry_backoff_s());
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
   std::ofstream out(path);
   if (!out) {
     std::cerr << "bench_wallclock: cannot write " << path << "\n";

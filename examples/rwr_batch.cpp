@@ -13,7 +13,7 @@
 #include "graph/rmat.hpp"
 #include "prof/report.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace acsr;
   const Cli cli(argc, argv);
 
@@ -56,4 +56,7 @@ int main(int argc, char** argv) {
             << sched.clock_s() * 1e3 << " ms\n";
   prof::print_metric_table(sched.tenants(), 20);
   return 0;
+} catch (const acsr::InputError& e) {
+  std::cerr << "rwr_batch: " << e.what() << "\n";
+  return 2;
 }

@@ -19,9 +19,6 @@ bool is_punct(const SourceFile& f, int p, const char* t) {
   const Token& tk = f.ct(p);
   return tk.kind == TokKind::kPunct && tk.text == t;
 }
-bool is_string(const SourceFile& f, int p) {
-  return p >= 0 && p < f.n_code() && f.ct(p).kind == TokKind::kString;
-}
 
 std::string at(const SourceFile& f, int p) {
   return f.path + ":" + std::to_string(f.ct(p).line);
@@ -191,81 +188,23 @@ TaxonomyResult audit_taxonomy(const SourceSet& set) {
 // ---------------------------------------------------------------------
 
 GateResult audit_gates(const SourceSet& set) {
-  std::vector<FileModel> models;
-  models.reserve(set.size());
-  std::set<std::string> ns_init_refs, singleton_classes;
-  for (const SourceFile& f : set) {
-    models.push_back(build_file_model(f));
-    const FileModel& m = models.back();
-    ns_init_refs.insert(m.ns_init_refs.begin(), m.ns_init_refs.end());
-    singleton_classes.insert(m.static_local_classes.begin(),
-                             m.static_local_classes.end());
-  }
-
-  // Generic readers: functions whose body calls getenv with a non-literal
-  // argument (env_flag(name), env_int(name, dflt)). Their own getenv is
-  // audited at each literal call site instead.
-  std::set<std::string> readers;
-  for (std::size_t fi = 0; fi < set.size(); ++fi) {
-    const SourceFile& f = set[fi];
-    for (int p = 0; p + 2 < f.n_code(); ++p) {
-      if (!is_ident(f, p, "getenv") || !is_punct(f, p + 1, "(")) continue;
-      if (is_string(f, p + 2)) continue;
-      if (const FunctionRegion* r = models[fi].enclosing(p))
-        readers.insert(r->name);
-    }
-  }
-
-  const std::set<std::string> cold = annotations(set, "cold-gate");
-
   GateResult res;
-  for (std::size_t fi = 0; fi < set.size(); ++fi) {
-    const SourceFile& f = set[fi];
-    const FileModel& m = models[fi];
-    for (int p = 0; p + 2 < f.n_code(); ++p) {
-      // A gate site: getenv("ACSR_X") or reader("ACSR_X", ...).
-      const bool direct =
-          is_ident(f, p, "getenv") && is_punct(f, p + 1, "(") &&
-          is_string(f, p + 2);
-      const bool via_reader =
-          !direct && is_ident(f, p) && readers.count(f.ct(p).text) > 0 &&
-          is_punct(f, p + 1, "(") && is_string(f, p + 2);
-      if (!direct && !via_reader) continue;
-      const std::string var = f.ct(p + 2).text;
-      if (var.rfind("ACSR_", 0) != 0) continue;
-
-      GateSite site;
-      site.var = var;
-      site.file = f.path;
-      site.line = f.ct(p).line;
-      const FunctionRegion* r = m.enclosing(p);
-      if (r == nullptr) {
-        site.cached = true;
-        site.how = "namespace-scope initializer";
-      } else if (is_ident(f, statement_begin(f, p), "static")) {
-        site.cached = true;
-        site.how = "function-local static initializer";
-      } else if (ns_init_refs.count(r->name)) {
-        site.cached = true;
-        site.how = "'" + r->name + "' runs once from a namespace-scope "
-                                   "initializer";
-      } else if (r->is_ctor && singleton_classes.count(r->name)) {
-        site.cached = true;
-        site.how = "Meyers-singleton constructor of " + r->name;
-      } else if (cold.count(var)) {
-        site.cached = true;
-        site.how = "declared acsr-audit:cold-gate(" + var + ")";
-      } else {
-        site.cached = false;
-        site.how = "re-read on every call of '" +
-                   (r->name.empty() ? std::string("?") : r->name) + "'";
-        res.findings.push_back(
-            {AuditKind::kHotGetenv, "gates", var,
-             at(f, p) + ": " + site.how +
-                 " — cache it (static local / namespace-scope init / "
-                 "singleton ctor) so the off-path costs one branch"});
+  for (const SourceFile& f : set) {
+    const bool table = f.path == kPlaneTable;
+    bool table_read = false;
+    for (int p = 0; p < f.n_code(); ++p) {
+      const Token& t = f.ct(p);
+      if (table && t.kind == TokKind::kString && t.text.rfind("ACSR_", 0) == 0)
+        res.sites.push_back({t.text, f.path, t.line});
+      if (!is_ident(f, p, "getenv")) continue;
+      if (table && !table_read) {
+        table_read = true;
+        continue;
       }
-      res.sites.push_back(std::move(site));
+      res.findings.push_back(
+          {AuditKind::kHotGetenv, "gates", at(f, p),
+           "getenv outside the one read in " + std::string(kPlaneTable) +
+               " — add a row to the plane table instead"});
     }
   }
   return res;
@@ -374,7 +313,7 @@ const std::vector<SourceDefect>& all_source_defects() {
       {"orphan-throw", AuditKind::kOrphanThrow,
        "typed fault thrown with no recovery edge and no terminal note"},
       {"hot-getenv", AuditKind::kHotGetenv,
-       "ACSR_* gate re-read on every call"},
+       "getenv outside the plane table's one read"},
       {"lint-data-escape", AuditKind::kLint,
        ".data() escape outside the span layer (in code, not a comment)"},
   };
@@ -402,8 +341,8 @@ class TransientFault : public DeviceFault {};
 #pragma once
 #include <cstdlib>
 namespace acsr::vgpu {
-// The getenv runs on every call: exactly the off-path regression the
-// gate rule exists to stop.
+// A plane reading the environment itself instead of through the plane
+// table: its getenv runs on every call.
 inline bool phantom_enabled() {
   const char* v = std::getenv("ACSR_PHANTOM");
   return v != nullptr && v[0] == '1';

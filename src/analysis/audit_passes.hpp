@@ -6,12 +6,10 @@
 //              typed catch of the class or an ancestor — or carries an
 //              explicit `acsr-audit:terminal(Type)` comment annotation.
 //              A new typed error cannot ship unhandled.
-//   gates      every ACSR_* environment gate follows the cached-bool
-//              zero-cost pattern: the getenv runs once (static local,
-//              namespace-scope initializer, a function called only from
-//              one, or a Meyers-singleton constructor) and steady-state
-//              reads are a cached branch. `acsr-audit:cold-gate(VAR)`
-//              declares a deliberate per-call read on a setup-only path.
+//   gates      the environment is read at one site: the single getenv
+//              in src/common/planes.hpp, which fills the plane table
+//              before main. Any other getenv token in src/ (or a second
+//              one in the table) is a hot-getenv finding.
 //   lint       scripts/lint.sh rules 1-3, token-level (no comment/string
 //              false positives).
 #pragma once
@@ -44,16 +42,18 @@ TaxonomyResult audit_taxonomy(const SourceSet& set);
 
 // --- pass 3: gate discipline ------------------------------------------
 
+/// The one file allowed to read the environment.
+inline constexpr const char* kPlaneTable = "src/common/planes.hpp";
+
+/// One row of the plane table: an "ACSR_*" literal in kPlaneTable.
 struct GateSite {
-  std::string var;   ///< e.g. "ACSR_MEMO"
+  std::string var;  ///< e.g. "ACSR_MEMO"
   std::string file;
   int line = 0;
-  bool cached = false;
-  std::string how;  ///< which caching pattern matched / why it is hot
 };
 
 struct GateResult {
-  std::vector<GateSite> sites;
+  std::vector<GateSite> sites;  ///< the table's rows
   std::vector<AuditFinding> findings;
 };
 
@@ -82,7 +82,7 @@ struct AuditReport {
   int defects_expected = 0;
   int defects_flagged = 0;
   int taxonomy_types = 0;
-  int gate_sites = 0;
+  int gate_sites = 0;  ///< plane-table rows
 
   bool clean() const {
     return findings.empty() && defects_flagged == defects_expected;

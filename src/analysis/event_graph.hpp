@@ -49,7 +49,7 @@ enum class AuditKind {
   // pass 2: fault-taxonomy exhaustiveness
   kOrphanThrow,  ///< typed fault with no recovery edge, not terminal
   // pass 3: gate discipline
-  kHotGetenv,  ///< ACSR_* getenv outside a static-cached initializer
+  kHotGetenv,  ///< getenv in src/ outside the plane table's one read
   // absorbed lint rules
   kLint,  ///< scripts/lint.sh rules 1-4, now token-level
 };

@@ -263,153 +263,4 @@ SourceSet load_source_tree(const std::string& repo_root) {
   return set;
 }
 
-const FunctionRegion* FileModel::enclosing(int pos) const {
-  const FunctionRegion* best = nullptr;
-  for (const FunctionRegion& r : functions)
-    if (r.begin < pos && pos < r.end &&
-        (best == nullptr || r.begin > best->begin))
-      best = &r;
-  return best;
-}
-
-int statement_begin(const SourceFile& f, int pos) {
-  int p = pos;
-  while (p > 0) {
-    const std::string& t = f.ct(p - 1).text;
-    if (f.ct(p - 1).kind == TokKind::kPunct &&
-        (t == ";" || t == "{" || t == "}"))
-      break;
-    --p;
-  }
-  return p;
-}
-
-FileModel build_file_model(const SourceFile& f) {
-  FileModel m;
-
-  struct Scope {
-    enum Kind { kNamespace, kClass, kFunction, kBlock, kInit } kind;
-    std::string class_name;  // kClass only
-    int func = -1;           // index into m.functions, kFunction only
-  };
-  std::vector<Scope> st{{Scope::kNamespace, "", -1}};
-
-  auto top = [&]() -> Scope& { return st.back(); };
-  auto enclosing_class = [&]() -> std::string {
-    for (auto it = st.rbegin(); it != st.rend(); ++it)
-      if (it->kind == Scope::kClass) return it->class_name;
-    return "";
-  };
-
-  const int n = f.n_code();
-  int stmt = 0;  // statement start (code position)
-  auto text = [&](int p) -> const std::string& { return f.ct(p).text; };
-  auto is_punct = [&](int p, const char* s) {
-    return f.ct(p).kind == TokKind::kPunct && text(p) == s;
-  };
-  auto is_ident = [&](int p) { return f.ct(p).kind == TokKind::kIdent; };
-
-  for (int p = 0; p < n; ++p) {
-    if (is_punct(p, "{")) {
-      // Classify this brace from the statement tokens [stmt, p).
-      bool has_namespace = false, has_class = false, has_paren = false;
-      for (int q = stmt; q < p; ++q) {
-        if (is_ident(q)) {
-          if (text(q) == "namespace") has_namespace = true;
-          if (text(q) == "class" || text(q) == "struct" ||
-              text(q) == "union" || text(q) == "enum")
-            has_class = true;
-        }
-        if (is_punct(q, "(")) has_paren = true;
-      }
-      const bool prev_callish =
-          p > stmt &&
-          (is_punct(p - 1, ")") ||
-           (is_ident(p - 1) &&
-            (text(p - 1) == "const" || text(p - 1) == "noexcept" ||
-             text(p - 1) == "override" || text(p - 1) == "final")));
-      const bool init_ctx =
-          p > stmt && (is_punct(p - 1, "=") || is_punct(p - 1, ",") ||
-                       is_punct(p - 1, "(") || is_punct(p - 1, "{") ||
-                       (is_ident(p - 1) && text(p - 1) == "return"));
-
-      if (has_namespace) {
-        st.push_back({Scope::kNamespace, "", -1});
-      } else if ((top().kind == Scope::kNamespace ||
-                  top().kind == Scope::kClass) &&
-                 prev_callish && has_paren && !has_class && !init_ctx) {
-        // A function definition at namespace/class scope. Its name is the
-        // first identifier followed by `(`; `C::name` yields a qualifier.
-        FunctionRegion r;
-        for (int q = stmt; q + 1 < p; ++q) {
-          if (is_ident(q) && is_punct(q + 1, "(")) {
-            r.name = text(q);
-            if (q >= 2 && is_punct(q - 1, "::") && is_ident(q - 2))
-              r.qualifier = text(q - 2);
-            break;
-          }
-        }
-        if (r.qualifier.empty()) r.qualifier = enclosing_class();
-        r.is_ctor = !r.name.empty() && r.name == r.qualifier;
-        r.begin = p;
-        m.functions.push_back(std::move(r));
-        st.push_back(
-            {Scope::kFunction, "", static_cast<int>(m.functions.size()) - 1});
-      } else if (has_class && !init_ctx) {
-        std::string cname;
-        for (int q = stmt; q < p; ++q)
-          if (is_ident(q) && (text(q) == "class" || text(q) == "struct" ||
-                              text(q) == "union")) {
-            if (q + 1 < p && is_ident(q + 1)) cname = text(q + 1);
-            break;
-          }
-        st.push_back({Scope::kClass, cname, -1});
-      } else if (init_ctx) {
-        st.push_back({Scope::kInit, "", -1});
-      } else {
-        st.push_back({Scope::kBlock, "", -1});
-      }
-      stmt = p + 1;
-      continue;
-    }
-
-    if (is_punct(p, "}")) {
-      if (st.size() > 1) {
-        if (top().kind == Scope::kFunction)
-          m.functions[static_cast<std::size_t>(top().func)].end = p;
-        st.pop_back();
-      }
-      stmt = p + 1;
-      continue;
-    }
-
-    if (is_punct(p, ";")) {
-      // Completed statement. Two pattern harvests:
-      //  - namespace-scope initializer: collect rhs identifiers
-      //  - function-local Meyers singleton: `static C x ;` / `static C x (`
-      if (top().kind == Scope::kNamespace || top().kind == Scope::kClass) {
-        int eq = -1;
-        for (int q = stmt; q < p; ++q)
-          if (is_punct(q, "=")) {
-            eq = q;
-            break;
-          }
-        if (eq >= 0)
-          for (int q = eq + 1; q < p; ++q)
-            if (is_ident(q)) m.ns_init_refs.push_back(text(q));
-      }
-      if (top().kind == Scope::kFunction || top().kind == Scope::kBlock) {
-        if (p - stmt >= 3 && is_ident(stmt) && text(stmt) == "static" &&
-            is_ident(stmt + 1) && is_ident(stmt + 2) &&
-            (stmt + 3 == p || is_punct(stmt + 3, "(") ||
-             is_punct(stmt + 3, "{")))
-          m.static_local_classes.push_back(text(stmt + 1));
-      }
-      stmt = p + 1;
-      continue;
-    }
-  }
-  return m;
-}
-
 }  // namespace acsr::analysis

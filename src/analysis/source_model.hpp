@@ -3,19 +3,14 @@
 // absorbed from scripts/lint.sh).
 //
 // The grep era's false positives all came from matching text the
-// compiler never sees: `.data()` in a comment, an ACSR_ variable named
-// in a docstring, a throw inside a string literal. The lexer here
-// produces a comment/string-aware token stream, and the file model
-// layers a scope heuristic on top (namespace / class / function / block
-// brace classification) so passes can ask "which function encloses this
-// token" and "does this statement start with `static`" — the two
-// questions the gate-discipline proof turns on.
+// compiler never sees: `.data()` in a comment, a `getenv` named in a
+// docstring, a throw inside a string literal. The lexer here produces a
+// comment/string-aware token stream the passes scan.
 //
-// This is a heuristic model of C++, not a parser: it does not expand
-// macros or resolve templates. The passes are written so a
-// misclassification fails loud (a finding on clean code, caught by
-// tests/test_audit.cpp's real-tree runs) rather than silently excusing
-// a defect.
+// This is a lexer, not a parser: it does not expand macros or resolve
+// templates. The passes are written so a misreading fails loud (a
+// finding on clean code, caught by tests/test_audit.cpp's real-tree
+// runs) rather than silently excusing a defect.
 #pragma once
 
 #include <string>
@@ -58,34 +53,5 @@ using SourceSet = std::vector<SourceFile>;
 
 /// Every .hpp/.cpp under `<repo_root>/src`, lexed, in sorted path order.
 SourceSet load_source_tree(const std::string& repo_root);
-
-/// A function body found by the brace classifier.
-struct FunctionRegion {
-  std::string name;       ///< unqualified name
-  std::string qualifier;  ///< `C` from `C::name`, or the enclosing class
-  int begin = -1;         ///< code position of the body's `{`
-  int end = -1;           ///< code position of the matching `}`
-  bool is_ctor = false;   ///< name equals the (qualifying) class name
-};
-
-struct FileModel {
-  std::vector<FunctionRegion> functions;
-  /// Identifiers referenced on the right-hand side of namespace-scope
-  /// initializers (`inline bool g = f();` contributes `f`): calling one
-  /// of these runs once at static-init time, i.e. is a cached cold path.
-  std::vector<std::string> ns_init_refs;
-  /// Class names `C` of function-local `static C x;` statements — the
-  /// Meyers-singleton pattern; `C`'s constructor runs exactly once.
-  std::vector<std::string> static_local_classes;
-
-  /// Innermost function whose body contains code position `pos`.
-  const FunctionRegion* enclosing(int pos) const;
-};
-
-FileModel build_file_model(const SourceFile& f);
-
-/// Code position of the first token of the statement containing `pos`
-/// (the token after the nearest preceding `;`, `{` or `}`).
-int statement_begin(const SourceFile& f, int pos);
 
 }  // namespace acsr::analysis

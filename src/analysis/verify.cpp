@@ -1,29 +1,11 @@
 #include "analysis/verify.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "analysis/models.hpp"
 #include "common/check.hpp"
 
 namespace acsr::analysis {
-
-namespace {
-
-bool env_verify_enabled() {
-  const char* v = std::getenv("ACSR_VERIFY");
-  return v != nullptr && v[0] == '1';
-}
-
-// Cached once so the unset-variable path costs one branch per factory
-// call after the first.
-bool g_enabled = env_verify_enabled();
-
-}  // namespace
-
-bool verify_enabled() { return g_enabled; }
-
-void set_verify_enabled(bool on) { g_enabled = on; }
 
 void verify_engine_or_throw(const std::string& name,
                             const vgpu::DeviceSpec& spec) {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -14,6 +13,18 @@
 #include "common/check.hpp"
 
 namespace acsr {
+
+/// The whole of `s` as a T (integer or floating point); nullopt for a null
+/// or empty string, trailing characters ("3x") or an out-of-range value.
+template <class T>
+std::optional<T> parse_exact(const char* s) {
+  if (s == nullptr) return std::nullopt;
+  const char* end = s + std::strlen(s);
+  T v{};
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return v;
+}
 
 class Cli {
  public:
@@ -44,15 +55,11 @@ class Cli {
   }
 
   long long get_int(const std::string& key, long long dflt) const {
-    const auto v = get(key);
-    if (!v) return dflt;
-    return std::stoll(*v);
+    return get_number(key, dflt);
   }
 
   double get_double(const std::string& key, double dflt) const {
-    const auto v = get(key);
-    if (!v) return dflt;
-    return std::stod(*v);
+    return get_number(key, dflt);
   }
 
   bool get_bool(const std::string& key, bool dflt = false) const {
@@ -64,26 +71,17 @@ class Cli {
   bool has(const std::string& key) const { return flags_.count(key) > 0; }
 
  private:
+  /// The whole value of --key as a T; InputError naming the flag otherwise.
+  template <class T>
+  T get_number(const std::string& key, T dflt) const {
+    const auto v = get(key);
+    if (!v) return dflt;
+    const std::optional<T> n = parse_exact<T>(v->c_str());
+    ACSR_REQUIRE(n, "--" << key << "='" << *v << "' is not a number");
+    return *n;
+  }
+
   std::map<std::string, std::string> flags_;
 };
-
-/// The whole of `s` as a T (integer or floating point); nullopt for a null
-/// or empty string, trailing characters ("3x") or an out-of-range value.
-template <class T>
-std::optional<T> parse_exact(const char* s) {
-  if (s == nullptr) return std::nullopt;
-  const char* end = s + std::strlen(s);
-  T v{};
-  const auto [p, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc() || p != end) return std::nullopt;
-  return v;
-}
-
-/// Environment-variable override with default, used for ACSR_SCALE.
-inline long long env_int(const char* name, long long dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return std::atoll(v);
-}
 
 }  // namespace acsr

@@ -57,7 +57,7 @@ std::unique_ptr<spmv::SpmvEngine<T>> make_engine(const std::string& name,
   const std::string canon = canon_p;
   // Opt-in pre-launch gate (ACSR_VERIFY=1): statically prove the engine's
   // kernels safe for its whole shape class on this device before building
-  // it. Costs one cached-bool branch when the variable is unset.
+  // it. Costs one plane-table branch when the variable is unset.
   if (analysis::verify_enabled()) [[unlikely]]
     analysis::verify_engine_or_throw(canon, dev.spec());
   auto build = [&]() -> std::unique_ptr<spmv::SpmvEngine<T>> {
@@ -99,7 +99,7 @@ std::unique_ptr<spmv::SpmvEngine<T>> make_engine(const std::string& name,
   };
   auto engine = build();
   // Memo plane (ACSR_MEMO=1): wrap the engine so repeated simulate() calls
-  // replay the first call's metering (vgpu/memo.hpp). One cached-bool
+  // replay the first call's metering (vgpu/memo.hpp). One plane-table
   // branch when the variable is unset.
   if (vgpu::memo::memo_enabled()) [[unlikely]]
     return std::make_unique<MemoEngine<T>>(std::move(engine));

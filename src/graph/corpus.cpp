@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "common/planes.hpp"
 #include "graph/powerlaw.hpp"
 
 namespace acsr::graph {
@@ -52,11 +55,12 @@ const CorpusEntry& corpus_entry(const std::string& abbrev) {
 }
 
 long long default_scale() {
-  // Read once per process (the cached-gate pattern acsr_audit enforces):
-  // the scale is fixed for a bench/tool run, never toggled mid-process.
-  static const long long s = env_int("ACSR_SCALE", 64);
-  ACSR_REQUIRE(s >= 1, "ACSR_SCALE must be >= 1");
-  return s;
+  const std::string& v = planes().scale;
+  if (v.empty()) return 64;
+  const std::optional<long long> s = parse_exact<long long>(v.c_str());
+  ACSR_REQUIRE(s && *s >= 1,
+               "ACSR_SCALE='" << v << "' is not a positive integer");
+  return *s;
 }
 
 mat::Csr<double> build_matrix(const CorpusEntry& e, long long scale,

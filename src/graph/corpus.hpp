@@ -46,7 +46,8 @@ const CorpusEntry& corpus_entry(const std::string& abbrev);
 mat::Csr<double> build_matrix(const CorpusEntry& e, long long scale,
                               std::uint64_t seed = 42);
 
-/// Default scale: the ACSR_SCALE environment variable, else 64.
+/// Default scale: the ACSR_SCALE environment variable, else 64. Throws
+/// InputError when ACSR_SCALE is set but not a whole positive integer.
 long long default_scale();
 
 }  // namespace acsr::graph

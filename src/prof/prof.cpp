@@ -4,27 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <cstdlib>
 #include <map>
 
 #include "common/check.hpp"
 #include "prof/metrics.hpp"
 
 namespace acsr::prof {
-
-namespace detail {
-bool profiler_enabled_from_env() {
-  const char* p = std::getenv("ACSR_PROF");
-  if (p != nullptr && p[0] == '1') return true;
-  const char* t = std::getenv("ACSR_TRACE");
-  return t != nullptr && t[0] != '\0';
-}
-}  // namespace detail
-
-void set_profiler_enabled(bool on) {
-  detail::g_profiler_enabled = on;
-  Profiler::instance().enabled_ = on;
-}
 
 std::uint64_t host_now_ns() {
   return static_cast<std::uint64_t>(
@@ -33,18 +18,13 @@ std::uint64_t host_now_ns() {
           .count());
 }
 
-Profiler::Profiler() : enabled_(detail::profiler_enabled_from_env()) {
-  const char* t = std::getenv("ACSR_TRACE");
-  if (t != nullptr) trace_path_ = t;
-}
-
 Profiler::~Profiler() {
   // ACSR_TRACE contract: the trace lands on disk at process exit, however
   // the process ends (the tool path also writes explicitly). Exit-time
   // failures must stay silent-but-harmless.
-  if (enabled_ && !trace_path_.empty()) {
+  if (profiler_enabled() && !planes().trace.empty()) {
     try {
-      write_trace(trace_path_);
+      write_trace(planes().trace);
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }

@@ -12,11 +12,11 @@
 //                        process exit (load in chrome://tracing or
 //                        https://ui.perfetto.dev)
 //
-// Zero-cost-when-off contract (the same cached-bool discipline as
-// ACSR_VERIFY / ACSR_SANITIZE): the env decision is taken once before
-// main() into detail::g_profiler_enabled; every hook in the executor is
-// one never-taken `if (...) [[unlikely]]` branch on that bool (or on the
-// null KernelEnv::lane_prof pointer it gates). Metering parity — profiled
+// Zero-cost-when-off contract (like every plane): the env decision is
+// taken once before main() into the plane table's prof row
+// (common/planes.hpp); every hook in the executor is one never-taken
+// `if (...) [[unlikely]]` branch on that bool (or on the null
+// KernelEnv::lane_prof pointer it gates). Metering parity — profiled
 // runs produce bit-identical Counters and roofline numbers — is pinned by
 // the kProfiled mode of tests/test_metering_invariance.cpp.
 //
@@ -36,22 +36,14 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/planes.hpp"
 #include "prof/lane_counters.hpp"
 #include "vgpu/kernel.hpp"
 
 namespace acsr::prof {
 
-namespace detail {
-bool profiler_enabled_from_env();
-// Mirror of Profiler's enabled flag, initialised before main() so the hot
-// path reads one global bool (same pattern as sanitizer_enabled()).
-inline bool g_profiler_enabled = profiler_enabled_from_env();
-}  // namespace detail
-
 /// The one branch every profiling hook sits behind.
-inline bool profiler_enabled() { return detail::g_profiler_enabled; }
-/// Programmatic switch (tests, tools). Flips the cached mirror too.
-void set_profiler_enabled(bool on);
+inline bool profiler_enabled() { return planes().prof; }
 
 /// Monotonic host wall-clock, only sampled when profiling is on (host_ns
 /// attribution of executor time is how the wall-clock regressions in
@@ -157,12 +149,9 @@ class Profiler {
   json::Value chrome_trace() const;
   /// Serialise chrome_trace() to `path`; false on I/O failure.
   bool write_trace(const std::string& path) const;
-  /// Path from ACSR_TRACE ("" when unset). The profiler writes the trace
-  /// there automatically at process exit.
-  const std::string& trace_path() const { return trace_path_; }
 
  private:
-  Profiler();
+  Profiler() = default;
   ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -173,10 +162,6 @@ class Profiler {
     double start_s;
   };
 
-  friend void set_profiler_enabled(bool);
-
-  bool enabled_ = false;
-  std::string trace_path_;
   double clock_s_ = 0.0;
   double retry_backoff_s_ = 0.0;
   std::string pending_note_;

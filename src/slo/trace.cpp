@@ -1,22 +1,9 @@
 #include "slo/trace.hpp"
 
-#include <cstdlib>
-
 #include "common/check.hpp"
 #include "prof/prof.hpp"
 
 namespace acsr::slo {
-
-namespace detail {
-bool slo_enabled_from_env() {
-  const char* s = std::getenv("ACSR_SLO");
-  if (s != nullptr && s[0] == '1') return true;
-  // ACSR_TRACE implies the slo plane: a trace without request spans
-  // answers none of the questions docs/SLO.md poses.
-  const char* t = std::getenv("ACSR_TRACE");
-  return t != nullptr && t[0] != '\0';
-}
-}  // namespace detail
 
 const char* span_kind_name(SpanKind k) {
   switch (k) {

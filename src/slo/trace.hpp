@@ -17,12 +17,12 @@
 // by the "slo-span-parity" charge plane of acsr_audit. Spans are a VIEW
 // of the timeline, never a second cost model.
 //
-// Activation (the cached-bool discipline of ACSR_PROF/ACSR_MEMO):
+// Activation (the plane table's slo row, common/planes.hpp):
 //   ACSR_SLO=1           collect spans + SLO histograms
 //   ACSR_TRACE=out.json  implies ACSR_SLO; spans are mirrored onto
 //                        "slo:*" tracks of the prof Chrome trace
-// With both unset every hook is one never-taken branch on a namespace-
-// scope bool; metering stays bit-identical (the kTraced mode of
+// With both unset every hook is one never-taken branch on the table's
+// bool; metering stays bit-identical (the kTraced mode of
 // tests/test_metering_invariance.cpp).
 #pragma once
 
@@ -33,21 +33,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/planes.hpp"
 #include "slo/histogram.hpp"
 
 namespace acsr::slo {
 
-namespace detail {
-bool slo_enabled_from_env();
-// Initialised before main() so every hook reads one global bool (the
-// same pattern as prof::g_profiler_enabled; acsr_audit gate discipline).
-inline bool g_slo_enabled = slo_enabled_from_env();
-}  // namespace detail
-
 /// The one branch every tracing/SLO hook sits behind.
-inline bool slo_enabled() { return detail::g_slo_enabled; }
-/// Programmatic switch (tests, tools, benches).
-inline void set_slo_enabled(bool on) { detail::g_slo_enabled = on; }
+inline bool slo_enabled() { return planes().slo; }
 
 /// Span taxonomy (docs/SLO.md). Latency spans (kRequest/kQueueWait/
 /// kServe) describe one request's lifecycle; execution spans (the rest)

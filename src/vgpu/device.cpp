@@ -147,7 +147,7 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   // The decision is captured once here; Warp reads env.sanitize instead of
   // consulting the singleton per access.
   Sanitizer& san = Sanitizer::instance();
-  const bool sanitize = san.enabled();
+  const bool sanitize = sanitizer_enabled();
   env.sanitize = sanitize;
   env.fast_path = !sanitize && !reference_metering();
   if (sanitize) san.begin_launch(cfg.name);

@@ -1,6 +1,5 @@
 #include "vgpu/fault.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -103,13 +102,12 @@ const char* to_string(FaultKind k) {
 }
 
 FaultInjector::FaultInjector() {
-  const char* plan = std::getenv("ACSR_FAULTS");
-  if (plan != nullptr && plan[0] != '\0') configure(plan);
+  if (!planes().faults.empty()) configure(planes().faults);
 }
 
 FaultInjector& FaultInjector::instance() {
-  static FaultInjector f;
-  return f;
+  static FaultInjector* f = new FaultInjector;
+  return *f;
 }
 
 // clause := kind '@' site '#' N ['*' K] (':' key '=' value)*
@@ -174,16 +172,16 @@ void FaultInjector::configure(const std::string& plan) {
   plan_ = std::move(parsed);
   events_.clear();
   alloc_ops_ = launch_ops_ = transfer_ops_ = read_ops_ = 0;
-  enabled_ = !plan_.empty();
-  detail::g_fault_injection_enabled = enabled_;
+  set_plane(&Planes::faults, plan);
+  set_plane(&Planes::fault_injection, !plan_.empty());
 }
 
 void FaultInjector::disable() {
   plan_.clear();
   events_.clear();
   alloc_ops_ = launch_ops_ = transfer_ops_ = read_ops_ = 0;
-  enabled_ = false;
-  detail::g_fault_injection_enabled = false;
+  set_plane(&Planes::faults, "");
+  set_plane(&Planes::fault_injection, false);
 }
 
 std::size_t FaultInjector::count(FaultKind k) const {

@@ -39,8 +39,8 @@
 // the environment, or call FaultInjector::instance().configure(plan)
 // programmatically (before building the engines whose buffers should be
 // flip targets). With no plan configured every hook is a single
-// never-taken branch on a plain global bool — zero cost on the metered
-// fast path, same guard pattern as the sanitizer.
+// never-taken branch on the plane table's fault_injection bool
+// (common/planes.hpp) — zero cost on the metered fast path.
 //
 // Plan-string grammar (full reference in docs/RESILIENCE.md):
 //
@@ -68,6 +68,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/planes.hpp"
 
 namespace acsr::vgpu {
 
@@ -214,16 +216,16 @@ struct ReadFault {
   std::string detail;
 };
 
-/// Process-wide injector. Reads ACSR_FAULTS once on first use; configure()
-/// replaces the plan (and resets op counters and events) at any time.
-/// Single-threaded, like the rest of the simulator.
+/// Process-wide injector, never destroyed. Parses the ACSR_FAULTS plan on
+/// first use; configure() replaces the plan (and resets op counters and
+/// events) at any time. Single-threaded, like the rest of the simulator.
 class FaultInjector {
  public:
   static FaultInjector& instance();
 
-  bool enabled() const { return enabled_; }
   /// Parse `plan` (throws acsr::InputError on grammar errors), reset op
-  /// counters and events, and enable injection iff the plan is non-empty.
+  /// counters and events, and enable injection iff the plan is non-empty;
+  /// the plane table's faults row holds `plan` afterwards.
   void configure(const std::string& plan);
   /// Drop the plan, counters, events, and disable injection. The flip-
   /// target registry is kept (buffers unregister through their own
@@ -289,7 +291,6 @@ class FaultInjector {
               const char* site, const std::string& where,
               const std::string& buffer, const std::string& detail);
 
-  bool enabled_ = false;
   std::vector<FaultClause> plan_;
   std::vector<FaultEvent> events_;
   std::map<std::uint64_t, Target> targets_;
@@ -299,15 +300,7 @@ class FaultInjector {
   long long read_ops_ = 0;
 };
 
-/// Fast-path guard, mirroring sanitizer_enabled(): one global load, no
-/// function-local-static guard. The dynamic initializer forces the
-/// singleton (and its ACSR_FAULTS env read) to exist before main.
-namespace detail {
-inline bool g_fault_injection_enabled = FaultInjector::instance().enabled();
-}  // namespace detail
-
-inline bool fault_injection_enabled() {
-  return detail::g_fault_injection_enabled;
-}
+/// Fast-path guard: one load of the plane table's bool.
+inline bool fault_injection_enabled() { return planes().fault_injection; }
 
 }  // namespace acsr::vgpu

@@ -33,7 +33,7 @@ struct KernelRun {
   double duration_s = 0.0;
 
   // Sanitizer findings recorded during this launch (0 unless the run was
-  // instrumented via ACSR_SANITIZE / Sanitizer::set_enabled).
+  // instrumented via ACSR_SANITIZE / the plane table's sanitize row).
   std::uint64_t sanitizer_reports = 0;
 
   /// The binding roofline term (excluding overheads), for reports.

@@ -28,13 +28,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/planes.hpp"
 #include "vgpu/device_spec.hpp"
 #include "vgpu/kernel.hpp"
 #include "vgpu/warp.hpp"
@@ -45,17 +45,10 @@ class Device;
 
 namespace memo {
 
-// --- zero-cost switch (same cached-bool shape as sanitize/prof) -----------
-namespace detail {
-inline bool memo_from_env() {
-  const char* v = std::getenv("ACSR_MEMO");
-  return v != nullptr && v[0] == '1';
-}
-inline bool g_memo_enabled = memo_from_env();
-}  // namespace detail
-
-inline bool memo_enabled() { return detail::g_memo_enabled; }
-inline void set_memo_enabled(bool on) { detail::g_memo_enabled = on; }
+// --- zero-cost switch: the plane table's memo row (common/planes.hpp) ------
+inline bool memo_enabled() { return planes().memo; }
+/// Alias of set_plane(&Planes::memo, on), kept for existing callers.
+inline void set_memo_enabled(bool on) { set_plane(&Planes::memo, on); }
 
 /// True while another instrumentation plane owns kernel execution
 /// (sanitizer, reference metering, profiler, fault injection). The memo

@@ -1,16 +1,10 @@
 #include "vgpu/sanitizer.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace acsr::vgpu {
 
 namespace {
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 // Keep pathological kernels from flooding memory with findings; the first
 // few hundred are plenty to diagnose any defect.
@@ -36,14 +30,9 @@ const char* to_string(SanKind k) {
   return "unknown";
 }
 
-Sanitizer::Sanitizer() {
-  enabled_ = env_flag("ACSR_SANITIZE");
-  halt_ = env_flag("ACSR_SANITIZE_HALT");
-}
-
 Sanitizer& Sanitizer::instance() {
-  static Sanitizer s;
-  return s;
+  static Sanitizer* s = new Sanitizer;
+  return *s;
 }
 
 Sanitizer::Buffer* Sanitizer::find(std::uint64_t addr) {
@@ -85,7 +74,7 @@ void Sanitizer::report(SanKind kind, const Buffer* b, std::uint64_t addr,
   r.message = os.str();
 
   if (reports_.size() < kMaxReports) reports_.push_back(r);
-  if (halt_ || always_throw) throw SanitizerError(r.message);
+  if (planes().sanitize_halt || always_throw) throw SanitizerError(r.message);
 }
 
 void Sanitizer::on_alloc(std::uint64_t addr, std::size_t bytes,
@@ -95,7 +84,7 @@ void Sanitizer::on_alloc(std::uint64_t addr, std::size_t bytes,
   b.name = name;
   b.base = addr;
   b.bytes = bytes;
-  if (enabled_) b.init.assign(bytes, false);
+  if (sanitizer_enabled()) b.init.assign(bytes, false);
   buffers_[addr] = std::move(b);
 }
 
@@ -104,7 +93,7 @@ bool Sanitizer::on_free(std::uint64_t addr, std::size_t bytes,
   if (bytes == 0) return true;
   auto it = buffers_.find(addr);
   if (it == buffers_.end()) {
-    if (enabled_) {
+    if (sanitizer_enabled()) {
       std::ostringstream os;
       os << "free of unallocated address 0x" << std::hex << addr << std::dec
          << " ('" << name << "', " << bytes << " B)";
@@ -114,14 +103,14 @@ bool Sanitizer::on_free(std::uint64_t addr, std::size_t bytes,
   }
   Buffer& b = it->second;
   if (b.freed) {
-    if (enabled_) {
+    if (sanitizer_enabled()) {
       std::ostringstream os;
       os << "second free of '" << b.name << "' (" << bytes << " B)";
       report(SanKind::kDoubleFree, &b, addr, -1, -1, -1, os.str());
     }
     return false;
   }
-  if (enabled_) {
+  if (sanitizer_enabled()) {
     // Keep a tombstone so stale-span accesses name the buffer.
     b.freed = true;
     b.init.clear();
@@ -133,7 +122,7 @@ bool Sanitizer::on_free(std::uint64_t addr, std::size_t bytes,
 }
 
 void Sanitizer::mark_initialized(std::uint64_t addr, std::size_t bytes) {
-  if (!enabled_ || bytes == 0) return;
+  if (!sanitizer_enabled() || bytes == 0) return;
   Buffer* b = find(addr);
   // Buffers allocated before instrumentation started have no shadow and
   // count as fully defined.
@@ -191,7 +180,7 @@ void Sanitizer::check_unmapped(std::uint64_t addr, std::size_t bytes,
 
 void Sanitizer::note_read(std::uint64_t addr, std::size_t bytes,
                           long long block, int warp, int lane) {
-  if (!enabled_) return;
+  if (!sanitizer_enabled()) return;
   if (addr >= kSharedSentinelBase) return;  // block-shared memory
   Buffer* b = find(addr);
   if (b == nullptr) {
@@ -227,7 +216,7 @@ void Sanitizer::note_read(std::uint64_t addr, std::size_t bytes,
 
 void Sanitizer::note_write(std::uint64_t addr, std::size_t bytes,
                            long long block, int warp, int lane, bool atomic) {
-  if (!enabled_) return;
+  if (!sanitizer_enabled()) return;
   if (addr >= kSharedSentinelBase) return;  // block-shared memory
   Buffer* b = find(addr);
   if (b == nullptr) {
@@ -282,7 +271,7 @@ void Sanitizer::note_write(std::uint64_t addr, std::size_t bytes,
 }
 
 void Sanitizer::check_subspan(std::uint64_t addr, std::size_t bytes) {
-  if (!enabled_ || bytes == 0) return;
+  if (!sanitizer_enabled() || bytes == 0) return;
   Buffer* b = find(addr);
   if (b == nullptr) return;
   if (b->freed) {

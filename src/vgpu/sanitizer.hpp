@@ -18,10 +18,11 @@
 //              before launching the row child).
 //
 // Activation: set ACSR_SANITIZE=1 in the environment (any test binary then
-// runs fully instrumented), or call Sanitizer::instance().set_enabled(true)
-// programmatically. ACSR_SANITIZE_HALT=1 (or set_halt_on_error) turns every
-// finding into a thrown SanitizerError; the default records findings in
-// reports() so harnesses can assert on them in bulk.
+// runs fully instrumented), or set_plane(&Planes::sanitize, true)
+// programmatically (common/planes.hpp). ACSR_SANITIZE_HALT=1 (the
+// sanitize_halt row) turns every finding into a thrown SanitizerError; the
+// default records findings in reports() so harnesses can assert on them in
+// bulk.
 //
 // The allocation *registry* (address -> buffer name) is always maintained —
 // it is O(log n) per alloc/free and lets DeviceSpan diagnostics name the
@@ -40,6 +41,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "common/planes.hpp"
 
 namespace acsr::vgpu {
 
@@ -78,14 +81,9 @@ struct SanReport {
 
 class Sanitizer {
  public:
-  /// Process-wide instance. Reads ACSR_SANITIZE / ACSR_SANITIZE_HALT once
-  /// on first use.
+  /// Process-wide instance, never destroyed (device buffers with static
+  /// storage free into it at exit).
   static Sanitizer& instance();
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on);  // also updates the sanitizer_enabled() mirror
-  bool halt_on_error() const { return halt_; }
-  void set_halt_on_error(bool on) { halt_ = on; }
 
   // --- allocation lifecycle (MemoryArena / DeviceBuffer) -------------------
   void on_alloc(std::uint64_t addr, std::size_t bytes, const std::string& name);
@@ -123,7 +121,7 @@ class Sanitizer {
   void clear();
 
  private:
-  Sanitizer();
+  Sanitizer() = default;
 
   struct Buffer {
     std::string name;
@@ -156,8 +154,6 @@ class Sanitizer {
               long long block, int warp, int lane, const std::string& detail,
               bool always_throw = false);
 
-  bool enabled_ = false;
-  bool halt_ = false;
   std::map<std::uint64_t, Buffer> buffers_;  // keyed by base address
   std::unordered_map<std::uint64_t, std::vector<Writer>> writes_;
   std::string kernel_;
@@ -166,20 +162,8 @@ class Sanitizer {
   std::size_t launch_report_base_ = 0;
 };
 
-/// Fast-path guard used by the per-lane hooks in Warp and DeviceSpan.
-/// A plain global mirror of Sanitizer::enabled(): reading it is one load,
-/// with no function-local-static initialization guard on the hot path.
-/// The dynamic initializer forces the singleton (and its ACSR_SANITIZE env
-/// read) to exist before main; set_enabled keeps the mirror in sync.
-namespace detail {
-inline bool g_sanitizer_enabled = Sanitizer::instance().enabled();
-}  // namespace detail
-
-inline bool sanitizer_enabled() { return detail::g_sanitizer_enabled; }
-
-inline void Sanitizer::set_enabled(bool on) {
-  enabled_ = on;
-  detail::g_sanitizer_enabled = on;
-}
+/// Fast-path guard used by the per-lane hooks in Warp and DeviceSpan: one
+/// load of the plane table's bool, no function-local-static guard.
+inline bool sanitizer_enabled() { return planes().sanitize; }
 
 }  // namespace acsr::vgpu

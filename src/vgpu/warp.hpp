@@ -18,20 +18,21 @@
 // invariant: every Counters field and cache end-state is bit-identical to
 // the reference per-lane loop (tests/test_metering_invariance.cpp pins
 // this). It is disabled under the sanitizer (which needs per-access hooks)
-// and under reference metering (ACSR_REFERENCE_METERING=1 or
-// set_reference_metering), which forces the original loop everywhere.
+// and under reference metering (ACSR_REFERENCE_METERING=1 or the plane
+// table's reference_metering row), which forces the original loop
+// everywhere.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/planes.hpp"
 #include "prof/lane_counters.hpp"
 #include "vgpu/counters.hpp"
 #include "vgpu/device_spec.hpp"
@@ -81,18 +82,7 @@ struct ChildLaunch {
 // bookkeeping loop instead of the analytic fast path. The two must be
 // bit-identical in every counter; the invariance test runs both and
 // asserts it. Env: ACSR_REFERENCE_METERING=1.
-namespace detail {
-inline bool reference_metering_from_env() {
-  const char* v = std::getenv("ACSR_REFERENCE_METERING");
-  return v != nullptr && v[0] == '1';
-}
-inline bool g_reference_metering = reference_metering_from_env();
-}  // namespace detail
-
-inline bool reference_metering() { return detail::g_reference_metering; }
-inline void set_reference_metering(bool on) {
-  detail::g_reference_metering = on;
-}
+inline bool reference_metering() { return planes().reference_metering; }
 
 /// Backing storage for one direct-mapped sector tag array, owned by the
 /// KernelEnv and shared by every warp of the launch. Tags are

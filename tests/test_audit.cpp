@@ -138,7 +138,7 @@ TEST(DefectCorpus, EverySourceDefectIsFlaggedWithItsExpectedKind) {
   }
 }
 
-// --- lexer + scope model ----------------------------------------------
+// --- lexer + gate rule ----------------------------------------------
 
 TEST(SourceModel, CommentsStringsAndCodeAreSeparated) {
   const auto f = analysis::lex_source("src/x/t.hpp",
@@ -175,44 +175,30 @@ TEST(SourceModel, DataEscapeInCodeIsFlaggedOutsideTheSpanLayer) {
   EXPECT_TRUE(analysis::audit_lint(ok).empty());
 }
 
-TEST(SourceModel, ScopeModelFindsFunctionsAndStaticLocals) {
-  const auto f = analysis::lex_source(
-      "src/x/t.cpp",
-      "namespace n {\n"
-      "Gadget& Gadget::instance() { static Gadget g; return g; }\n"
-      "bool from_env() { return true; }\n"
-      "bool g_cached = from_env();\n"
-      "}\n");
-  const auto m = analysis::build_file_model(f);
-  ASSERT_EQ(m.functions.size(), 2u);
-  EXPECT_EQ(m.functions[0].name, "instance");
-  EXPECT_EQ(m.functions[0].qualifier, "Gadget");
-  EXPECT_EQ(m.functions[1].name, "from_env");
-  ASSERT_EQ(m.static_local_classes.size(), 1u);
-  EXPECT_EQ(m.static_local_classes[0], "Gadget");
-  EXPECT_TRUE(std::find(m.ns_init_refs.begin(), m.ns_init_refs.end(),
-                        "from_env") != m.ns_init_refs.end());
-}
-
-TEST(SourceModel, CachedGatePatternsAreAccepted) {
-  // All four caching shapes in one synthetic file: ns-scope init,
-  // function-local static, singleton ctor, and a reader called from one
-  // of those.
-  const auto f = analysis::lex_source(
-      "src/x/gates.cpp",
-      "namespace n {\n"
-      "bool flag(const char* name) { return std::getenv(name) != nullptr; }\n"
-      "bool a_from_env() { return std::getenv(\"ACSR_A\") != nullptr; }\n"
-      "bool g_a = a_from_env();\n"
-      "bool b() { static bool v = std::getenv(\"ACSR_B\") != nullptr;"
-      " return v; }\n"
-      "struct Plane { Plane() { on_ = flag(\"ACSR_C\"); } bool on_; };\n"
-      "Plane& inst() { static Plane p; return p; }\n"
-      "}\n");
-  const auto res = analysis::audit_gates({f});
-  EXPECT_EQ(res.sites.size(), 3u);
-  for (const auto& s : res.sites) EXPECT_TRUE(s.cached) << s.var << " " << s.how;
+TEST(SourceModel, OnlyThePlaneTablesOneGetenvIsAllowed) {
+  const char* one_read =
+      "#pragma once\n"
+      "// getenv in a comment is not a read\n"
+      "inline const char* kRow = \"ACSR_X\";\n"
+      "inline const char* v = std::getenv(kRow);\n";
+  const analysis::SourceSet ok = {
+      analysis::lex_source(analysis::kPlaneTable, one_read)};
+  const auto res = analysis::audit_gates(ok);
   EXPECT_TRUE(res.findings.empty());
+  ASSERT_EQ(res.sites.size(), 1u);
+  EXPECT_EQ(res.sites[0].var, "ACSR_X");
+  EXPECT_EQ(res.sites[0].line, 3);
+
+  // The same read anywhere else, or a second read in the table, is hot.
+  const analysis::SourceSet elsewhere = {
+      analysis::lex_source("src/x/t.hpp", one_read)};
+  EXPECT_EQ(analysis::audit_gates(elsewhere).findings.size(), 1u);
+  const analysis::SourceSet twice = {analysis::lex_source(
+      analysis::kPlaneTable,
+      std::string(one_read) + "inline const char* w = getenv(\"ACSR_Y\");\n")};
+  const auto res2 = analysis::audit_gates(twice);
+  ASSERT_EQ(res2.findings.size(), 1u);
+  EXPECT_EQ(res2.findings[0].kind, AuditKind::kHotGetenv);
 }
 
 // --- real-tree proofs --------------------------------------------------
@@ -236,22 +222,21 @@ TEST(RealTree, TaxonomyIsExhaustive) {
         << expect;
 }
 
-TEST(RealTree, EveryGateIsCached) {
+TEST(RealTree, OnlyThePlaneTableReadsTheEnvironment) {
   const auto set = analysis::load_source_tree(ACSR_SOURCE_DIR);
   const auto res = analysis::audit_gates(set);
   EXPECT_TRUE(res.findings.empty()) << res.findings.front().str();
+  // The table's rows are exactly the ten variables the planes read (a
+  // lexer regression that finds no rows would otherwise pass vacuously).
   std::vector<std::string> vars;
-  for (const auto& s : res.sites) {
-    vars.push_back(s.var);
-    EXPECT_TRUE(s.cached) << s.var << " at " << s.file << ":" << s.line;
-  }
-  // The gates the planes ship today must all be discovered (a lexer
-  // regression that finds zero sites would otherwise pass vacuously).
-  for (const char* expect :
-       {"ACSR_MEMO", "ACSR_VERIFY", "ACSR_FAULTS", "ACSR_SANITIZE",
-        "ACSR_REFERENCE_METERING", "ACSR_PROF", "ACSR_TRACE", "ACSR_SCALE"})
-    EXPECT_TRUE(std::find(vars.begin(), vars.end(), expect) != vars.end())
-        << expect;
+  for (const auto& s : res.sites) vars.push_back(s.var);
+  std::sort(vars.begin(), vars.end());
+  const std::vector<std::string> expect = {
+      "ACSR_FAULTS",   "ACSR_MEMO",          "ACSR_PROF",
+      "ACSR_REFERENCE_METERING", "ACSR_SANITIZE", "ACSR_SANITIZE_HALT",
+      "ACSR_SCALE",    "ACSR_SLO",           "ACSR_TRACE",
+      "ACSR_VERIFY"};
+  EXPECT_EQ(vars, expect);
 }
 
 TEST(RealTree, LintRulesHoldTokenLevel) {

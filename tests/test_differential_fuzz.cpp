@@ -306,7 +306,7 @@ TEST(DifferentialFuzz, AllEnginesMatchOracleUnderSanitizer) {
 
   Sanitizer& san = Sanitizer::instance();
   san.clear();
-  san.set_enabled(true);
+  acsr::set_plane(&acsr::Planes::sanitize, true);
   const Rng root(seed);
 
   FuzzStats stats;
@@ -334,7 +334,7 @@ TEST(DifferentialFuzz, AllEnginesMatchOracleUnderSanitizer) {
     if (::testing::Test::HasFatalFailure()) break;
   }
 
-  san.set_enabled(false);
+  acsr::set_plane(&acsr::Planes::sanitize, false);
   san.clear();
 
   // The harness must genuinely exercise the engine matrix: every engine on
@@ -364,7 +364,7 @@ TEST(DifferentialFuzz, BatchedSpmmMatchesOracleUnderSanitizer) {
 
   Sanitizer& san = Sanitizer::instance();
   san.clear();
-  san.set_enabled(true);
+  acsr::set_plane(&acsr::Planes::sanitize, true);
   const Rng root(seed ^ 0x59f3);
 
   std::size_t batch_runs = 0;
@@ -441,7 +441,7 @@ TEST(DifferentialFuzz, BatchedSpmmMatchesOracleUnderSanitizer) {
     san.clear();
     if (::testing::Test::HasFatalFailure()) break;
   }
-  san.set_enabled(false);
+  acsr::set_plane(&acsr::Planes::sanitize, false);
   san.clear();
 
   EXPECT_EQ(batch_runs + format_skips, n_cases);

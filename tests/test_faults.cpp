@@ -94,7 +94,6 @@ TEST_F(Faults, PlanGrammarParses) {
       "transient@launch#3*2;ecc@launch#9:seed=7;lost@launch#40;"
       "oom@alloc#1;corrupt@transfer#2:silent=1;stall@transfer#5:ms=20");
   ASSERT_EQ(inj.plan().size(), 6u);
-  EXPECT_TRUE(inj.enabled());
   EXPECT_TRUE(acsr::vgpu::fault_injection_enabled());
   EXPECT_EQ(inj.plan()[0].at, 3);
   EXPECT_EQ(inj.plan()[0].count, 2);
@@ -103,7 +102,6 @@ TEST_F(Faults, PlanGrammarParses) {
   EXPECT_DOUBLE_EQ(inj.plan()[5].stall_s, 0.020);
 
   inj.configure("");
-  EXPECT_FALSE(inj.enabled());
   EXPECT_FALSE(acsr::vgpu::fault_injection_enabled());
 }
 
@@ -277,13 +275,13 @@ TEST_F(Faults, ProfilerBackoffMatchesTimelineCharge) {
 
   acsr::prof::Profiler& prof = acsr::prof::Profiler::instance();
   prof.clear();
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   FaultInjector::instance().configure("transient@launch#40*3");
   Device dev(DeviceSpec::gtx_titan());
   ResilientEngine<double> engine({&dev}, a, "acsr");
   std::vector<double> y;
   for (int i = 0; i < 12; ++i) engine.simulate(x, y);
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
 
   ASSERT_GE(engine.retries(), 1) << "plan never fired";
   double timeline_backoff = 0.0;

@@ -8,17 +8,17 @@
 //
 //   fast        the default: analytic affine gathers, range-checked
 //   reference   ACSR_REFERENCE_METERING semantics: the original per-lane
-//               probe loops everywhere (set_reference_metering(true))
+//               probe loops everywhere (the reference_metering row)
 //   sanitized   fully instrumented (per-access memcheck/racecheck hooks;
 //               the fast path is disabled automatically)
-//   profiled    ACSR_PROF semantics (set_profiler_enabled(true)): the
+//   profiled    ACSR_PROF semantics (the prof row set): the
 //               fast path stays on and the profiler's lane tallies record
 //               to the side — metering must be unaffected
 //   memoized    ACSR_MEMO semantics (set_memo_enabled(true)): the first
 //               simulate captures per-launch metering, the second replays
 //               it and re-runs the kernels value-only; the *replayed*
 //               iteration is what gets compared here
-//   traced      ACSR_SLO semantics (slo::set_slo_enabled(true)): the
+//   traced      ACSR_SLO semantics (the slo row set): the
 //               request-tracing plane records spans to the side —
 //               spans are a view of the timeline (docs/SLO.md), so
 //               metering must be unaffected
@@ -196,14 +196,15 @@ enum class Mode { kFast, kReference, kSanitized, kProfiled, kMemoized,
 ModeResult run_mode(const Csr<double>& a, const char* engine_name,
                     const std::vector<double>& x, Mode mode) {
   Sanitizer& san = Sanitizer::instance();
-  acsr::vgpu::set_reference_metering(mode == Mode::kReference);
+  acsr::set_plane(&acsr::Planes::reference_metering,
+                  mode == Mode::kReference);
   if (mode == Mode::kSanitized) {
     san.clear();
-    san.set_enabled(true);
+    acsr::set_plane(&acsr::Planes::sanitize, true);
   }
   if (mode == Mode::kProfiled) {
     acsr::prof::Profiler::instance().clear();
-    acsr::prof::set_profiler_enabled(true);
+    acsr::set_plane(&acsr::Planes::prof, true);
   }
   if (mode == Mode::kMemoized) {
     acsr::vgpu::memo::MemoCache::instance().clear();
@@ -212,7 +213,7 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
   }
   if (mode == Mode::kTraced) {
     acsr::slo::Tracer::instance().clear();
-    acsr::slo::set_slo_enabled(true);
+    acsr::set_plane(&acsr::Planes::slo, true);
   }
 
   ModeResult res;
@@ -237,12 +238,12 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     }
   }
 
-  acsr::vgpu::set_reference_metering(false);
+  acsr::set_plane(&acsr::Planes::reference_metering, false);
   if (mode == Mode::kSanitized) {
     EXPECT_TRUE(san.reports().empty())
         << san.reports().size() << " sanitizer findings; first: "
         << san.reports().front().message;
-    san.set_enabled(false);
+    acsr::set_plane(&acsr::Planes::sanitize, false);
     san.clear();
   }
   if (mode == Mode::kProfiled) {
@@ -252,7 +253,7 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     EXPECT_TRUE(res.skipped || a.nnz() == 0 ||
                 !acsr::prof::Profiler::instance().launches().empty())
         << "profiler recorded no launches while enabled";
-    acsr::prof::set_profiler_enabled(false);
+    acsr::set_plane(&acsr::Planes::prof, false);
     acsr::prof::Profiler::instance().clear();
   }
   if (mode == Mode::kMemoized) {
@@ -267,7 +268,7 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     acsr::vgpu::memo::MemoCache::instance().clear();
   }
   if (mode == Mode::kTraced) {
-    acsr::slo::set_slo_enabled(false);
+    acsr::set_plane(&acsr::Planes::slo, false);
     acsr::slo::Tracer::instance().clear();
   }
   return res;
@@ -375,7 +376,7 @@ TEST(MeteringInvariance, WarpPrimitivesMatchAtEveryStride) {
     KernelRun runs[2];
     std::vector<double> outs[2];
     for (int mode = 0; mode < 2; ++mode) {
-      acsr::vgpu::set_reference_metering(mode == 1);
+      acsr::set_plane(&acsr::Planes::reference_metering, mode == 1);
       Device dev(DeviceSpec::gtx_titan());
       auto src = dev.alloc<double>(4096, "src");
       for (std::size_t i = 0; i < 4096; ++i)
@@ -401,7 +402,7 @@ TEST(MeteringInvariance, WarpPrimitivesMatchAtEveryStride) {
       });
       outs[mode] = dst.host();
     }
-    acsr::vgpu::set_reference_metering(false);
+    acsr::set_plane(&acsr::Planes::reference_metering, false);
     expect_run_identical(runs[0], runs[1]);
     EXPECT_EQ(outs[0], outs[1]);
   }
@@ -410,7 +411,7 @@ TEST(MeteringInvariance, WarpPrimitivesMatchAtEveryStride) {
   // modes and still agree.
   KernelRun runs[2];
   for (int mode = 0; mode < 2; ++mode) {
-    acsr::vgpu::set_reference_metering(mode == 1);
+    acsr::set_plane(&acsr::Planes::reference_metering, mode == 1);
     Device dev(DeviceSpec::gtx_titan());
     auto src = dev.alloc<double>(4096, "src");
     src.host().assign(4096, 1.0);
@@ -426,7 +427,7 @@ TEST(MeteringInvariance, WarpPrimitivesMatchAtEveryStride) {
       w.count_flops(w.active_mask(), static_cast<int>(v[0] > 0.0), true);
     });
   }
-  acsr::vgpu::set_reference_metering(false);
+  acsr::set_plane(&acsr::Planes::reference_metering, false);
   expect_run_identical(runs[0], runs[1]);
 }
 

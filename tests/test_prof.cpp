@@ -2,7 +2,7 @@
 //
 // Pins the four contracts the profiling layer makes:
 //   1. Off by default, and *recording nothing* when off — the only cost is
-//      the cached-bool/null-pointer gate (metering parity itself is pinned
+//      the plane-table/null-pointer gate (metering parity itself is pinned
 //      by test_metering_invariance.cpp's profiled mode).
 //   2. The metric registry fully covers vgpu::Counters (one passthrough
 //      metric per field, each reading the right field), the compile-time
@@ -52,10 +52,10 @@ class Prof : public ::testing::Test {
  protected:
   void SetUp() override {
     Profiler::instance().clear();
-    acsr::prof::set_profiler_enabled(false);
+    acsr::set_plane(&acsr::Planes::prof, false);
   }
   void TearDown() override {
-    acsr::prof::set_profiler_enabled(false);
+    acsr::set_plane(&acsr::Planes::prof, false);
     Profiler::instance().clear();
   }
 };
@@ -98,7 +98,7 @@ TEST_F(Prof, DisabledProfilerRecordsNothing) {
 }
 
 TEST_F(Prof, EnabledProfilerCapturesLaunchesAndAdvancesClock) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Device dev(DeviceSpec::gtx_titan());
   const Csr<double> a = test_matrix();
   const double sim_s = acsr::prof::capture_engine_spmv<double>(
@@ -283,16 +283,16 @@ TEST_F(Prof, LaneTalliesMatchAcrossFastAndReferencePaths) {
   const Csr<double> a = test_matrix(128, 23);
   LaneCounters agg[2];
   for (int mode = 0; mode < 2; ++mode) {
-    acsr::vgpu::set_reference_metering(mode == 1);
+    acsr::set_plane(&acsr::Planes::reference_metering, mode == 1);
     Profiler::instance().clear();
-    acsr::prof::set_profiler_enabled(true);
+    acsr::set_plane(&acsr::Planes::prof, true);
     Device dev(DeviceSpec::gtx_titan());
     acsr::prof::capture_engine_spmv<double>("acsr", dev, a);
     for (const LaunchSample& s : Profiler::instance().launches())
       agg[mode] += s.lanes;
-    acsr::prof::set_profiler_enabled(false);
+    acsr::set_plane(&acsr::Planes::prof, false);
   }
-  acsr::vgpu::set_reference_metering(false);
+  acsr::set_plane(&acsr::Planes::reference_metering, false);
   EXPECT_EQ(agg[0].mem_lane_slots, agg[1].mem_lane_slots);
   EXPECT_EQ(agg[0].mem_active_lanes, agg[1].mem_active_lanes);
   EXPECT_EQ(agg[0].flop_lane_slots, agg[1].flop_lane_slots);
@@ -307,7 +307,7 @@ TEST_F(Prof, LaneTalliesMatchAcrossFastAndReferencePaths) {
 /// Run an ACSR SpMV (with DP children) plus an app phase and an instant,
 /// and return the chrome trace document.
 Value capture_trace() {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Profiler& p = Profiler::instance();
   p.clear();
   const Csr<double> a = test_matrix();
@@ -315,7 +315,7 @@ Value capture_trace() {
   acsr::prof::capture_engine_spmv<double>("acsr", dev, a);
   p.instant("fault:example instant");
   p.phase("app", "pagerank:iteration", 1e-4);
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
   return p.chrome_trace();
 }
 
@@ -430,12 +430,12 @@ TEST_F(Prof, ChildSpansNestInsideParentWindow) {
 }
 
 TEST_F(Prof, WriteTraceRoundTripsThroughParser) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Profiler& p = Profiler::instance();
   const Csr<double> a = test_matrix();
   Device dev(DeviceSpec::gtx_titan());
   acsr::prof::capture_engine_spmv<double>("csr-vector", dev, a);
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
 
   const std::string path =
       ::testing::TempDir() + "acsr_prof_trace_test.json";
@@ -454,14 +454,14 @@ TEST_F(Prof, WriteTraceRoundTripsThroughParser) {
 // --- exporters --------------------------------------------------------------
 
 TEST_F(Prof, MetricsDocAndSummaryCoverRecordedEngines) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Profiler& p = Profiler::instance();
   const Csr<double> a = test_matrix();
   for (const char* e : {"csr-scalar", "acsr"}) {
     Device dev(DeviceSpec::gtx_titan());
     acsr::prof::capture_engine_spmv<double>(e, dev, a);
   }
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
 
   const Value doc = acsr::prof::metrics_doc(p.launches(),
                                             p.retry_backoff_s());
@@ -497,14 +497,14 @@ TEST_F(Prof, MetricsDocAndSummaryCoverRecordedEngines) {
 }
 
 TEST_F(Prof, DiffMetricsFlagsDriftAndStructuralChanges) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Profiler& p = Profiler::instance();
   const Csr<double> a = test_matrix();
   {
     Device dev(DeviceSpec::gtx_titan());
     acsr::prof::capture_engine_spmv<double>("csr-scalar", dev, a);
   }
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
   const Value doc = acsr::prof::metrics_doc(p.launches(),
                                             p.retry_backoff_s());
 
@@ -567,7 +567,7 @@ TEST_F(Prof, DiffMetricsFlagsDriftAndStructuralChanges) {
 // --- app phase markers ------------------------------------------------------
 
 TEST_F(Prof, AppPhaseMarkersChargeTheProfilerClock) {
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   Profiler& p = Profiler::instance();
   const Csr<double> adj = test_matrix();
   Device dev(DeviceSpec::gtx_titan());
@@ -576,7 +576,7 @@ TEST_F(Prof, AppPhaseMarkersChargeTheProfilerClock) {
   acsr::apps::PageRankConfig cfg;
   cfg.iter.max_iters = 5;
   const auto res = acsr::apps::pagerank<double>(*engine, cfg);
-  acsr::prof::set_profiler_enabled(false);
+  acsr::set_plane(&acsr::Planes::prof, false);
 
   int iter_spans = 0;
   double span_s = 0.0;

@@ -43,12 +43,12 @@ class SanitizerTest : public ::testing::Test {
   void SetUp() override {
     Sanitizer& s = Sanitizer::instance();
     s.clear();
-    s.set_enabled(true);
-    s.set_halt_on_error(false);
+    acsr::set_plane(&acsr::Planes::sanitize, true);
+    acsr::set_plane(&acsr::Planes::sanitize_halt, false);
   }
   void TearDown() override {
     Sanitizer& s = Sanitizer::instance();
-    s.set_enabled(false);
+    acsr::set_plane(&acsr::Planes::sanitize, false);
     s.clear();
   }
 
@@ -379,7 +379,7 @@ TEST_F(SanitizerTest, SiblingChildGridsPlainWritesRace) {
 // --- negative controls --------------------------------------------------------
 
 TEST_F(SanitizerTest, DisabledSanitizerRecordsNothing) {
-  Sanitizer::instance().set_enabled(false);
+  acsr::set_plane(&acsr::Planes::sanitize, false);
   Device dev(DeviceSpec::gtx_titan());
   auto buf = dev.alloc<double>(32, "dark");  // no shadow materialised
 
@@ -393,7 +393,7 @@ TEST_F(SanitizerTest, DisabledSanitizerRecordsNothing) {
 
 TEST_F(SanitizerTest, BufferNameLookupAlwaysWorks) {
   // The registry is maintained even when shadow checking is off.
-  Sanitizer::instance().set_enabled(false);
+  acsr::set_plane(&acsr::Planes::sanitize, false);
   Device dev(DeviceSpec::gtx_titan());
   auto buf = dev.alloc<double>(16, "named");
   const std::uint64_t addr = buf.span().addr();
@@ -436,7 +436,7 @@ TEST_F(SanitizerTest, CleanEnginesProduceNoReports) {
 }
 
 TEST_F(SanitizerTest, HaltModeThrowsOnFirstFinding) {
-  Sanitizer::instance().set_halt_on_error(true);
+  acsr::set_plane(&acsr::Planes::sanitize_halt, true);
   Device dev(DeviceSpec::gtx_titan());
   auto buf = dev.alloc<double>(8, "strict");
 
@@ -447,7 +447,7 @@ TEST_F(SanitizerTest, HaltModeThrowsOnFirstFinding) {
                                 lane_bit(0));
                        }),
       acsr::vgpu::SanitizerError);
-  Sanitizer::instance().set_halt_on_error(false);
+  acsr::set_plane(&acsr::Planes::sanitize_halt, false);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ class Slo : public ::testing::Test {
   void TearDown() override {
     FaultInjector::instance().disable();
     acsr::vgpu::memo::set_memo_enabled(memo_was_);
-    acsr::slo::set_slo_enabled(slo_was_);
+    acsr::set_plane(&acsr::Planes::slo, slo_was_);
     Tracer::instance().clear();
     acsr::vgpu::memo::MemoCache::instance().clear();
   }
@@ -314,7 +314,7 @@ std::map<std::uint64_t, const Span*> by_id(const std::vector<Span>& spans) {
 }
 
 TEST_F(Slo, SpanTreesAreWellFormed) {
-  acsr::slo::set_slo_enabled(true);
+  acsr::set_plane(&acsr::Planes::slo, true);
   acsr::vgpu::memo::set_memo_enabled(false);
   const Csr<double> a = test_matrix();
   Device dev(DeviceSpec::gtx_titan());
@@ -430,7 +430,7 @@ TEST_F(Slo, SpanTreesAreWellFormed) {
 // --- charge parity under faults (the acceptance criterion) -----------------
 
 TEST_F(Slo, FaultedSpanChargesEqualTimelineChargesBitwise) {
-  acsr::slo::set_slo_enabled(true);
+  acsr::set_plane(&acsr::Planes::slo, true);
   acsr::vgpu::memo::set_memo_enabled(false);  // active_engine() is the OOC rung
   // An io fault exercises the tier's retry/backoff spans; a transient
   // launch fault aborts one OOC attempt mid-flight so the parity has to
@@ -563,7 +563,7 @@ void expect_same_fingerprint(const RunFingerprint& x, const RunFingerprint& y,
 }
 
 TEST_F(Slo, HistogramsAreRunAndMemoInvariant) {
-  acsr::slo::set_slo_enabled(true);
+  acsr::set_plane(&acsr::Planes::slo, true);
   const Csr<double> a = test_matrix();
 
   acsr::vgpu::memo::set_memo_enabled(false);
@@ -584,7 +584,7 @@ TEST_F(Slo, HistogramsAreRunAndMemoInvariant) {
 
 TEST_F(Slo, ObserveSloFeedsMonitorWithoutSpans) {
   // bench_wallclock's path: percentiles without paying for span storage.
-  acsr::slo::set_slo_enabled(false);
+  acsr::set_plane(&acsr::Planes::slo, false);
   const Csr<double> a = test_matrix();
   Device dev(DeviceSpec::gtx_titan());
   auto engine = make_engine<double>("csr", dev, a);

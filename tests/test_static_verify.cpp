@@ -5,7 +5,7 @@
 //    defect classes in test_sanitizer.cpp) is flagged *statically* with
 //    the right violation kind and kernel/expression attribution,
 //  - the ACSR_VERIFY factory gate builds verified engines and stays
-//    disabled (one cached-bool branch) by default.
+//    disabled (one plane-table branch) by default.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -134,8 +134,10 @@ TEST(StaticVerify, DpOnFermiIsRejectedButFineOnTitan) {
 
 class VerifyGateTest : public ::testing::Test {
  protected:
-  void SetUp() override { acsr::analysis::set_verify_enabled(true); }
-  void TearDown() override { acsr::analysis::set_verify_enabled(false); }
+  void SetUp() override { acsr::set_plane(&acsr::Planes::verify, true); }
+  void TearDown() override {
+    acsr::set_plane(&acsr::Planes::verify, false);
+  }
 
   static acsr::mat::Csr<double> small_matrix() {
     acsr::graph::PowerLawSpec s;
@@ -168,7 +170,7 @@ TEST_F(VerifyGateTest, UnknownEnginesStillFailInTheFactoryNotTheGate) {
 }
 
 TEST(VerifyGate, DisabledByDefaultWhenEnvUnset) {
-  // The harness runs without ACSR_VERIFY set; the cached gate must then
+  // The harness runs without ACSR_VERIFY set; the verify row must then
   // be off (zero-cost path) unless a test flipped it explicitly.
   EXPECT_FALSE(acsr::analysis::verify_enabled());
 }

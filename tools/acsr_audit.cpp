@@ -8,7 +8,8 @@
 //   acsr_audit --charges           charge/causality matrix only
 //     [--engine=NAME --device=KEY]
 //   acsr_audit --taxonomy          fault-taxonomy pass only
-//   acsr_audit --gates             gate-discipline pass only
+//   acsr_audit --gates             gate-discipline pass only (lists the
+//                                  plane table's rows)
 //   acsr_audit --lint              absorbed scripts/lint.sh rules 1-3
 //   acsr_audit --defects           seeded defect corpora only
 //   acsr_audit --report=json       machine-readable report on stdout
@@ -132,12 +133,11 @@ void sweep_gates(const Options& opt, AuditReport& rep) {
   const auto res = acsr::analysis::audit_gates(set);
   rep.gate_sites = static_cast<int>(res.sites.size());
   if (!opt.json) {
-    std::cout << "\nACSR_* gates (" << res.sites.size() << " sites):\n";
+    std::cout << "\nplane table (" << res.sites.size()
+              << " ACSR_* rows, the only getenv in src/):\n";
     for (const auto& s : res.sites)
-      std::cout << "  " << std::left << std::setw(26) << s.var
-                << std::setw(8) << (s.cached ? "cached" : "HOT") << s.file
-                << ":" << s.line << (opt.verbose ? "  (" + s.how + ")" : "")
-                << "\n";
+      std::cout << "  " << std::left << std::setw(26) << s.var << s.file
+                << ":" << s.line << "\n";
   }
   rep.findings.insert(rep.findings.end(), res.findings.begin(),
                       res.findings.end());

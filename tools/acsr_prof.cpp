@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  acsr::prof::set_profiler_enabled(true);
+  acsr::set_plane(&acsr::Planes::prof, true);
   acsr::prof::Profiler& prof = acsr::prof::Profiler::instance();
   prof.clear();
 

@@ -20,7 +20,8 @@
 // The engine is wrapped in ResilientEngine, so an ACSR_FAULTS plan makes
 // the scenario cross every plane (serve -> engine -> storage) and breach
 // events land in the same recovery log as fault/recovery marks. Exit
-// codes: 0 ok, 1 I/O error, 2 usage, 4 SLO breach (3 is taken by
+// codes: 0 ok, 1 I/O error, 2 usage or invalid input (a malformed
+// ACSR_SCALE or --check document), 4 SLO breach (3 is taken by
 // acsr_prof's drift gate; distinct codes let CI tell them apart).
 
 #include <cstdio>
@@ -118,7 +119,7 @@ void render_slo(const acsr::slo::SloMonitor& mon) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -160,10 +161,10 @@ int main(int argc, char** argv) {
 
   // Force-enable the slo plane; with --trace also the profiler, so
   // request spans land on the Chrome trace's "slo:*" tracks.
-  acsr::slo::set_slo_enabled(true);
+  acsr::set_plane(&acsr::Planes::slo, true);
   acsr::slo::Tracer::instance().clear();
   if (!opt.trace_path.empty()) {
-    acsr::prof::set_profiler_enabled(true);
+    acsr::set_plane(&acsr::Planes::prof, true);
     acsr::prof::Profiler::instance().clear();
   }
 
@@ -231,4 +232,7 @@ int main(int argc, char** argv) {
                 << opt.check_path << "\n";
   }
   return 0;
+} catch (const acsr::InputError& e) {
+  std::cerr << "acsr_slo: " << e.what() << "\n";
+  return 2;
 }
