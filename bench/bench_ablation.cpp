@@ -21,7 +21,7 @@ double acsr_spmv_us(const bench::BenchContext& ctx,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   auto ctx = bench::BenchContext::from_cli(cli);
   const auto& entry = graph::corpus_entry(cli.get_or("matrix", "RAL"));
@@ -144,4 +144,8 @@ int main(int argc, char** argv) {
                  "is rebuilt per trial (vs BCCOO's 10^5 x one SpMV).\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

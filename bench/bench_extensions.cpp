@@ -11,6 +11,7 @@
 #include "apps/centrality.hpp"
 #include "apps/cg.hpp"
 #include "bench/comparators.hpp"
+#include "common/cli.hpp"
 #include "core/acsr_engine.hpp"
 
 namespace {
@@ -161,7 +162,7 @@ void crossover_validation(const bench::BenchContext& ctx) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli);
   ctx.print_header("Extensions: SIC comparison, BCSR fill-in, crossover "
@@ -172,4 +173,8 @@ int main(int argc, char** argv) {
   more_graph_apps(ctx);
   crossover_validation(ctx);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

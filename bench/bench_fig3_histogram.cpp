@@ -3,7 +3,7 @@
 // heavy mass at 1-4 nnz, a long tail on the right.
 #include "bench/bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   auto ctx = bench::BenchContext::from_cli(cli);
@@ -34,4 +34,8 @@ int main(int argc, char** argv) {
             << "  — heavy head of short rows plus a long tail, the two "
                "extremes ACSR's bins and dynamic parallelism target.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -2,8 +2,9 @@
 // per format. The paper's averages: BCCOO ~161k x, TCOO ~3k x, BRC ~87 x,
 // HYB ~21 x, ACSR ~3 x.
 #include "bench/comparators.hpp"
+#include "common/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   using bench::FormatTimes;
   const Cli cli(argc, argv);
@@ -37,4 +38,8 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper averages: BCCOO 161000, TCOO 3000, BRC 87, HYB 21, "
                "ACSR 3 (x one SpMV).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -25,7 +25,7 @@ std::string gflops_cell(const bench::BenchContext& ctx,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli);
   const bool dp_device = ctx.spec.supports_dynamic_parallelism();
@@ -48,4 +48,8 @@ int main(int argc, char** argv) {
   std::cout << "\n'OOM': matrix does not fit this device's (scaled) memory "
                "— the paper's Ø bars.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

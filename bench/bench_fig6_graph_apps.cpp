@@ -98,7 +98,7 @@ void run_one(const bench::BenchContext& ctx, const std::string& app) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli);
   ctx.print_header("Fig. 6: graph-mining applications");
@@ -109,4 +109,8 @@ int main(int argc, char** argv) {
     run_one(ctx, app);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -36,7 +36,7 @@ apps::DynamicPageRankResult<double> run_dynamic(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   auto ctx = bench::BenchContext::from_cli(cli);
   const int epochs = static_cast<int>(cli.get_int("epochs", 10));
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
                "Fig. 6 speedups because preprocessing + transfer recur "
                "every epoch.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -63,7 +63,7 @@ void scaling_sweep(const acsr::bench::BenchContext& ctx) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli, "k10");
   ctx.print_header(
@@ -90,4 +90,8 @@ int main(int argc, char** argv) {
                "die.\n\n";
   scaling_sweep(ctx);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

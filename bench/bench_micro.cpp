@@ -4,6 +4,7 @@
 // regressions in the hot loops that all experiments share.
 #include <benchmark/benchmark.h>
 
+#include "common/cli.hpp"
 #include "core/factory.hpp"
 #include "graph/powerlaw.hpp"
 
@@ -79,4 +80,14 @@ BENCHMARK(BM_PowerLawGenerator)->Arg(1 << 12);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+static int run_program(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
+}

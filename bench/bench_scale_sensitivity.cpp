@@ -4,7 +4,7 @@
 // Sweeps ACSR/CSR and ACSR/HYB speedups at three scales.
 #include "bench/bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   std::cout << "=== scale sensitivity: headline ratios vs ACSR_SCALE ===\n\n";
@@ -44,4 +44,8 @@ int main(int argc, char** argv) {
   std::cout << "\nStable geomeans across a 4x scale range mean the format "
                "ordering is not an artifact of the corpus reduction.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

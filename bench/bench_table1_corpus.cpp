@@ -4,7 +4,7 @@
 // max >> mu) is auditable.
 #include "bench/bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli);
@@ -25,4 +25,8 @@ int main(int argc, char** argv) {
   std::cout << "\nRAL is rectangular (not power-law); AMZ and DBL are the "
                "non-power-law contrast matrices.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

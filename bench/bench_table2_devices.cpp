@@ -2,7 +2,7 @@
 // the simulator's model parameters for transparency.
 #include "bench/bench_common.hpp"
 
-int main(int, char**) {
+static int run_program(int, char**) {
   using namespace acsr;
   using vgpu::DeviceSpec;
   std::cout << "=== Table II: GPU devices (simulated) ===\n\n";
@@ -25,4 +25,8 @@ int main(int, char**) {
   std::cout << "\nTesla K10 has two GK104 dies per card; the row above is "
                "one die (section VIII uses both).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -3,8 +3,9 @@
 // which is where the transformed formats lose by orders of magnitude.
 // Single precision, GTX Titan, as in the paper.
 #include "bench/comparators.hpp"
+#include "common/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   using bench::FormatTimes;
   const Cli cli(argc, argv);
@@ -35,4 +36,8 @@ int main(int argc, char** argv) {
                "(auto-tuning / exhaustive search), large against BRC "
                "(sort + restructure), moderate against HYB.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

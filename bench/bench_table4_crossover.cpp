@@ -3,8 +3,9 @@
 // against ACSR (Eq. 4). "inf" means ACSR wins at any iteration count;
 // "OOM" means the format cannot hold the matrix.
 #include "bench/comparators.hpp"
+#include "common/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   using bench::FormatTimes;
   const Cli cli(argc, argv);
@@ -36,4 +37,8 @@ int main(int argc, char** argv) {
                "solvers iterating at least n times on a FIXED sparsity "
                "structure — hopeless for dynamic graphs.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

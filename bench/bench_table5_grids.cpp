@@ -2,7 +2,7 @@
 // SpMV launches per matrix on the GTX Titan.
 #include "bench/bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const auto ctx = bench::BenchContext::from_cli(cli);
@@ -28,4 +28,8 @@ int main(int argc, char** argv) {
   std::cout << "\nRS counts stay within the pending-launch limit ("
             << ctx.spec.pending_launch_limit << ").\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -4,9 +4,9 @@
 // this bench measures how fast the single-core functional simulator chews
 // through SpMV kernels in real host time — the quantity that gates every
 // reproduction run, the 200-matrix differential fuzz, and the graph-app
-// benches. scripts/bench.sh folds the google-benchmark JSON output into
-// BENCH_wallclock.json at the repo root so successive PRs can diff
-// executor throughput. The fast-path / reference-path metering invariance
+// benches. scripts/bench.sh runs it as a does-it-run smoke; the
+// repository's wall-clock record is perfbench/ (perfbench/README.md).
+// The fast-path / reference-path metering invariance
 // contract is asserted by tests/test_metering_invariance.cpp; this bench
 // only measures speed.
 //
@@ -31,6 +31,7 @@
 #include "apps/cg.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/rwr_batch.hpp"
+#include "common/cli.hpp"
 #include "core/factory.hpp"
 #include "core/ooc_engine.hpp"
 #include "graph/corpus.hpp"
@@ -157,8 +158,8 @@ void BM_ServeScheduler(benchmark::State& state, int max_width) {
                           static_cast<std::int64_t>(requests));
   state.counters["max_width"] = max_width;
   state.counters["sim_makespan_ms"] = makespan * 1e3;
-  // Simulated-clock tail latency: deterministic per width, so drift in
-  // BENCH_wallclock.json is a scheduling change, not noise.
+  // Simulated-clock tail latency: deterministic per width, so a change
+  // across builds is a scheduling change, not noise.
   state.counters["sim_lat_p50_ms"] = slo.latency_p50_s * 1e3;
   state.counters["sim_lat_p95_ms"] = slo.latency_p95_s * 1e3;
   state.counters["sim_lat_p99_ms"] = slo.latency_p99_s * 1e3;
@@ -463,7 +464,7 @@ int write_metrics(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   // Translate our --quick flag into short measurement windows before
   // google-benchmark parses the command line.
   std::vector<char*> args;
@@ -494,4 +495,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (!metrics_out.empty()) return write_metrics(metrics_out);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -3,11 +3,12 @@
 // bins (Fig. 2b) and the grids one ACSR SpMV launches (Fig. 2c/d).
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/acsr_engine.hpp"
 #include "mat/hyb.hpp"
 
-int main() {
+static int run_program(int, char**) {
   using namespace acsr;
 
   // An 8x8 matrix in the spirit of the paper's example: a few 1-2 nnz
@@ -76,4 +77,8 @@ int main() {
   std::cout << "\n(each row handled by exactly one mechanism; results "
                "match the host reference)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

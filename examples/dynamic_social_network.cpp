@@ -11,7 +11,7 @@
 #include "common/cli.hpp"
 #include "graph/powerlaw.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
 
@@ -49,4 +49,8 @@ int main(int argc, char** argv) {
             << "warm restarts cut iterations after epoch 0; the change-"
                "list upload is what keeps ACSR's per-epoch cost flat.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

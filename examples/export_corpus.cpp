@@ -10,7 +10,7 @@
 #include "graph/corpus.hpp"
 #include "mat/mm_io.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const long long scale = cli.get_int("scale", graph::default_scale());
@@ -33,4 +33,8 @@ int main(int argc, char** argv) {
             << ".\nRound-trip them with examples/format_explorer "
                "--mtx=<path>.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -51,7 +51,7 @@ mat::Csr<double> make_input(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   const Cli cli(argc, argv);
   const mat::Csr<double> a = make_input(cli);
   const auto st = a.row_stats();
@@ -104,4 +104,8 @@ int main(int argc, char** argv) {
             << "for frequently-changing sparsity (dynamic graphs), prefer "
                "acsr: its preprocessing is a single row-length scan.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -11,7 +11,7 @@
 #include "common/table.hpp"
 #include "core/factory.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const auto g = static_cast<mat::index_t>(cli.get_int("grid", 96));
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
                "regime Table IV's crossover n describes. Power-law graphs "
                "with evolving structure never reach it.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -10,7 +10,7 @@
 #include "core/multi_gpu.hpp"
 #include "graph/powerlaw.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const int n_dev = static_cast<int>(cli.get_int("devices", 2));
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
                "every device sees the same work shape; scaling is bounded "
                "by workload size, not by imbalance.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

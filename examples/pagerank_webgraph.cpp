@@ -11,7 +11,7 @@
 #include "core/acsr_engine.hpp"
 #include "graph/rmat.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
 
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
               << adj.row_nnz(page) << " out-links)\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

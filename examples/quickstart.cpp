@@ -8,7 +8,7 @@
 #include "core/factory.hpp"
 #include "graph/powerlaw.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
 
@@ -57,4 +57,8 @@ int main(int argc, char** argv) {
             << " long-tail rows through dynamic parallelism.\n"
             << "y[0] = " << y[0] << " (matches the host reference)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

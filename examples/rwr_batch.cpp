@@ -13,7 +13,7 @@
 #include "graph/rmat.hpp"
 #include "prof/report.hpp"
 
-int main(int argc, char** argv) try {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
 
@@ -56,7 +56,8 @@ int main(int argc, char** argv) try {
             << sched.clock_s() * 1e3 << " ms\n";
   prof::print_metric_table(sched.tenants(), 20);
   return 0;
-} catch (const acsr::InputError& e) {
-  std::cerr << "rwr_batch: " << e.what() << "\n";
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

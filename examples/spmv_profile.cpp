@@ -11,7 +11,7 @@
 #include "core/factory.hpp"
 #include "graph/corpus.hpp"
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   using namespace acsr;
   const Cli cli(argc, argv);
   const long long scale = cli.get_int("scale", graph::default_scale());
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                "efficiency; 'bound' names the roofline term that sets the "
                "kernel's duration.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -7,10 +7,10 @@
 # out-of-core storage matrix (one io fault plan per class through the
 # OocEnv smoke under a sub-footprint device budget — see docs/OOC.md), a
 # profiler smoke (trace JSON validated, model metrics diffed against the
-# committed PROF_baseline.json — see docs/OBSERVABILITY.md), then a quick
-# wall-clock bench smoke (does-it-run only; bench.sh refuses to fold
-# quick-mode numbers into the full-mode BENCH_wallclock.json). Fails on
-# the first broken step. See docs/TESTING.md for the label scheme.
+# committed PROF_baseline.json with counters.* rows exact — see
+# docs/OBSERVABILITY.md), then a quick wall-clock bench smoke (does-it-run
+# only; the wall-clock record is perfbench/). Fails on the first broken
+# step. See docs/TESTING.md for the label scheme.
 #
 # Usage: scripts/check.sh [build_dir]
 set -euo pipefail
@@ -172,14 +172,29 @@ for ev in events:
 print(f"   trace ok: {len(events)} events")
 PY
 # Model metrics are bit-reproducible, so drift vs the committed baseline
-# means the cost model changed. Warn loudly (non-fatal: re-record the
-# baseline with `tools/acsr_prof --out PROF_baseline.json` when the
-# change is intentional).
-if ! "$build/tools/acsr_prof" --quiet --diff PROF_baseline.json; then
-  echo "check.sh: WARNING: profiler metrics drifted >10% vs PROF_baseline.json"
-  echo "check.sh: (intentional model change? re-record with:" \
-       "$build/tools/acsr_prof --out PROF_baseline.json)"
-fi
+# means the cost model changed. The integer work counters (counters.*
+# rows, exit 5) are gated exactly and fail the check on any change;
+# derived metrics (exit 3) warn beyond 10%. Re-record the baseline with
+# `tools/acsr_prof --out PROF_baseline.json` when a change is intentional.
+prof_rc=0
+"$build/tools/acsr_prof" --quiet --diff PROF_baseline.json || prof_rc=$?
+case "$prof_rc" in
+  0) ;;
+  3)
+    echo "check.sh: WARNING: profiler metrics drifted >10% vs PROF_baseline.json"
+    echo "check.sh: (intentional model change? re-record with:" \
+         "$build/tools/acsr_prof --out PROF_baseline.json)"
+    ;;
+  5)
+    echo "check.sh: integer work counters changed vs PROF_baseline.json" \
+         "(counters.* rows are gated exactly)"
+    exit 1
+    ;;
+  *)
+    echo "check.sh: acsr_prof --diff failed (exit $prof_rc)"
+    exit 1
+    ;;
+esac
 
 echo "== slo smoke (acsr_slo trace + --check vs slo.json)"
 slo_trace="$(mktemp --suffix=.json)"

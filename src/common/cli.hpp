@@ -1,10 +1,12 @@
-// Tiny --flag=value parser shared by bench and example binaries.
+// Tiny --flag=value parser shared by bench and example binaries, and the
+// main() wrapper every tool, bench and example runs under.
 // Not a general argv library: just enough to select devices, matrices,
 // precisions and scales reproducibly from the command line.
 #pragma once
 
 #include <charconv>
 #include <cstring>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -83,5 +85,19 @@ class Cli {
 
   std::map<std::string, std::string> flags_;
 };
+
+/// Run a program's body as its main(): an InputError (a malformed flag,
+/// ACSR_* variable or input file) ends it with "<program>: <message>" on
+/// stderr and exit code 2 instead of an uncaught-exception abort.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const InputError& e) {
+    std::string prog = argc > 0 ? argv[0] : "acsr";
+    prog.erase(0, prog.find_last_of('/') + 1);
+    std::cerr << prog << ": " << e.what() << "\n";
+    return 2;
+  }
+}
 
 }  // namespace acsr

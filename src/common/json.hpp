@@ -1,12 +1,11 @@
 // Minimal JSON value tree: parser + serializer, no dependencies.
 //
 // Exists for the observability layer (docs/OBSERVABILITY.md): the trace
-// schema test parses the profiler's Chrome-trace output back, the
-// `acsr_prof --diff` regression mode reads committed metric baselines,
-// and scripts fold metric profiles into BENCH_wallclock.json. Strictness
-// over features: UTF-8 pass-through, no comments, no trailing commas —
-// exactly RFC 8259 minus \u surrogate-pair decoding (escapes are kept
-// verbatim as their source text).
+// schema test parses the profiler's Chrome-trace output back, and the
+// `acsr_prof --diff` regression mode reads committed metric baselines.
+// Strictness over features: UTF-8 pass-through, no comments, no trailing
+// commas — exactly RFC 8259 minus \u surrogate-pair decoding (escapes are
+// kept verbatim as their source text).
 #pragma once
 
 #include <cmath>

@@ -250,6 +250,11 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     std::size_t file_offset = 0;
     std::size_t bytes = 0;       ///< row_off + col_idx + vals slices
     std::size_t meta_bytes = 0;  ///< bin row maps
+    /// Checksum of the slab's bytes, recorded once at build like a
+    /// per-chunk checksum written with the file: host_ never changes after
+    /// construction, so the tier verifies each read against it without
+    /// re-hashing the source.
+    std::uint64_t checksum = 0;
     /// Slab-local row ids binned by vector size: bin b holds rows run
     /// with V = 2 << b lanes (the ACSR discipline at slab granularity).
     std::array<std::vector<mat::index_t>, 5> bins;
@@ -302,6 +307,15 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       const mat::offset_t nz = host_.row_off[static_cast<std::size_t>(e)] -
                                host_.row_off[static_cast<std::size_t>(r)];
       s.bytes = slab_data_bytes(e - r, nz);
+      const auto nz0 =
+          static_cast<std::size_t>(host_.row_off[static_cast<std::size_t>(r)]);
+      s.checksum = storage::checksum_elements(
+          host_.row_off, static_cast<std::size_t>(r),
+          static_cast<std::size_t>(e - r) + 1);
+      s.checksum = storage::checksum_elements(
+          host_.col_idx, nz0, static_cast<std::size_t>(nz), s.checksum);
+      s.checksum = storage::checksum_elements(
+          host_.vals, nz0, static_cast<std::size_t>(nz), s.checksum);
       for (mat::index_t row = r; row < e; ++row) {
         const mat::offset_t len =
             host_.row_off[static_cast<std::size_t>(row) + 1] -
@@ -342,10 +356,10 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     add(storage::make_segment(host_.col_idx, nz0, st.col_idx, nz));
     add(storage::make_segment(host_.vals, nz0, st.vals, nz));
     return tier.read_chunk("slab" + std::to_string(i), s.file_offset,
-                           std::move(segs));
+                           std::move(segs), s.checksum);
   }
 
-  /// Allocate slab i's device set and fill it from the delivered staging
+  /// Allocate slab i's device set and move the delivered staging into it
   /// (rebasing the row offsets to the slab's value window).
   SlabDev make_buffers(std::size_t i, Stage& st) {
     const Slab& s = slabs_[i];
@@ -353,14 +367,9 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     const mat::offset_t rebase = st.row_off.front();
     for (mat::offset_t& o : st.row_off) o -= rebase;
     SlabDev d;
-    d.row_off = this->dev_.template alloc<mat::offset_t>(st.row_off.size(),
-                                                         tag + ".row_off");
-    d.row_off.host() = st.row_off;
-    d.col_idx = this->dev_.template alloc<mat::index_t>(st.col_idx.size(),
-                                                        tag + ".col_idx");
-    d.col_idx.host() = st.col_idx;
-    d.vals = this->dev_.template alloc<T>(st.vals.size(), tag + ".vals");
-    d.vals.host() = st.vals;
+    d.row_off = this->dev_.adopt(std::move(st.row_off), tag + ".row_off");
+    d.col_idx = this->dev_.adopt(std::move(st.col_idx), tag + ".col_idx");
+    d.vals = this->dev_.adopt(std::move(st.vals), tag + ".vals");
     for (std::size_t b = 0; b < s.bins.size(); ++b) {
       if (s.bins[b].empty()) continue;
       d.bins[b] = this->dev_.template alloc<mat::index_t>(

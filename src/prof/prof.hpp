@@ -46,8 +46,8 @@ namespace acsr::prof {
 inline bool profiler_enabled() { return planes().prof; }
 
 /// Monotonic host wall-clock, only sampled when profiling is on (host_ns
-/// attribution of executor time is how the wall-clock regressions in
-/// BENCH_wallclock.json get localised to a kernel).
+/// attribution of executor time is how a host wall-clock regression gets
+/// localised to a kernel).
 std::uint64_t host_now_ns();
 
 /// A dynamic-parallelism child grid recorded under its parent launch.

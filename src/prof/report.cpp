@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <ostream>
+#include <string_view>
 
 #include "common/table.hpp"
 
@@ -189,21 +190,23 @@ std::vector<Drift> diff_metrics(const json::Value& current,
       const bool has_c = cv != nullptr && cv->is_number();
       const bool has_b = bv != nullptr && bv->is_number();
       const std::string path = "engines/" + name + "/total/" + m.name;
+      const bool exact = std::string_view(m.name).starts_with("counters.");
       // A metric on one side only is structural drift, like an engine.
       if (has_c != has_b)
         out.push_back({path, has_b ? bv->as_number() : nan,
-                       has_c ? cv->as_number() : nan, 0.0});
+                       has_c ? cv->as_number() : nan, 0.0, exact});
       if (!has_c || !has_b) continue;
       const double b = bv->as_number();
       const double c = cv->as_number();
       if (b == c) continue;
       const double rel = (c - b) / std::max(std::fabs(b), 1e-12);
-      if (std::fabs(rel) <= threshold) continue;
-      out.push_back({path, b, c, rel});
+      if (!exact && std::fabs(rel) <= threshold) continue;
+      out.push_back({path, b, c, rel, exact});
     }
   }
   std::stable_sort(out.begin(), out.end(), [](const Drift& a,
                                               const Drift& b) {
+    if (a.exact != b.exact) return a.exact;
     return std::fabs(a.rel) > std::fabs(b.rel);
   });
   return out;

@@ -40,13 +40,16 @@ struct Drift {
   double baseline = 0.0; // NaN when the side is missing
   double current = 0.0;
   double rel = 0.0;      // (current - baseline) / max(|baseline|, eps)
+  bool exact = false;    // a counters.* row: gated at zero tolerance
 };
 
 /// Compare per-engine *total* metrics of two metrics documents. Only
 /// deterministic metrics participate (host wall-clock attribution is
-/// machine-dependent); entries whose |rel| exceeds `threshold`, and
-/// engines or metrics present on only one side, are returned, largest
-/// drift first.
+/// machine-dependent). The integer work counters (`counters.*` rows) are
+/// exact: any change is returned, marked `exact`. Derived metrics are
+/// returned when their |rel| exceeds `threshold`; engines or metrics
+/// present on only one side are always returned. Exact drift comes first,
+/// then largest drift first.
 std::vector<Drift> diff_metrics(const json::Value& current,
                                 const json::Value& baseline,
                                 double threshold);

@@ -10,12 +10,13 @@
 // plane stays exact while the time plane pays drive service, stripe
 // rounding, queueing, and fault penalties.
 //
-// Robustness is first-class. Every chunk is checksummed (FNV-1a) over
-// its source bytes before service and verified over the *delivered*
-// bytes on arrival; the ACSR_FAULTS `read` site can fail a request
-// (io_transient), hang it (io_timeout), corrupt the delivered bytes
-// (io_checksum — caught by the arrival checksum), or degrade a drive
-// (io_degrade). Failed or corrupt reads are re-issued up to
+// Robustness is first-class. Every chunk carries a checksum (word-wise
+// FNV-1a) of its source bytes — recorded by the caller when the data was
+// written, or computed here when the request brings none — verified over
+// the *delivered* bytes on arrival; the ACSR_FAULTS `read` site can fail
+// a request (io_transient), hang it (io_timeout), corrupt the delivered
+// bytes (io_checksum — caught by the arrival checksum), or degrade a
+// drive (io_degrade). Failed or corrupt reads are re-issued up to
 // `max_retries` times with exponential backoff charged to the simulated
 // clock; exhausting the budget escapes as the matching typed error
 // (IoTransientError / IoTimeout / ChunkChecksumMismatch from
@@ -36,6 +37,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,10 +59,11 @@ struct Segment {
   std::size_t bytes = 0;
 };
 
-/// Build a Segment over element ranges of typed host vectors. This is the
-/// one audited place (scripts/lint.sh rule 2) where a host vector decays
-/// to raw bytes: the storage data plane moves bytes, not elements, and
-/// every caller goes through this helper so the decay stays centralized.
+/// Build a Segment over element ranges of typed host vectors. This helper
+/// and checksum_elements below are the audited places (scripts/lint.sh
+/// rule 2) where a host vector decays to raw bytes: the storage data plane
+/// moves and hashes bytes, not elements, and every caller goes through
+/// them so the decay stays centralized.
 /// A zero count yields an empty Segment the caller should drop.
 template <class U>
 Segment make_segment(const std::vector<U>& src, std::size_t src_first,
@@ -74,14 +77,42 @@ Segment make_segment(const std::vector<U>& src, std::size_t src_first,
       count * sizeof(U)};
 }
 
-/// FNV-1a over a byte range; chainable via `h` for multi-segment chunks.
+inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// FNV-1a over a byte range, eight bytes per step (xor the word, then
+/// multiply) with a byte loop for the tail; chainable via `h` for
+/// multi-segment chunks. Each step is a bijection of `h` for a fixed word
+/// and of the word for a fixed `h`, so a change confined to one word (any
+/// single bit flip) always changes the result.
 inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n,
-                           std::uint64_t h = 14695981039346656037ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
+                           std::uint64_t h = kFnvBasis) {
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, sizeof w);
+    h ^= w;
+    h *= kFnvPrime;
+  }
+  for (; i < n; ++i) {
     h ^= p[i];
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+/// fnv1a over elements [first, first + count) of a typed host vector,
+/// chained from `h`: the checksum of the Segment make_segment(src, first,
+/// ..., count) would carry. Hashing a chunk's segments in order this way
+/// gives the value a ReadRequest may supply as its expected checksum.
+template <class U>
+std::uint64_t checksum_elements(const std::vector<U>& src, std::size_t first,
+                                std::size_t count,
+                                std::uint64_t h = kFnvBasis) {
+  if (count == 0) return h;
+  ACSR_REQUIRE(first + count <= src.size(), "checksum elements out of range");
+  return fnv1a(reinterpret_cast<const unsigned char*>(src.data() + first),
+               count * sizeof(U), h);
 }
 
 struct TierConfig {
@@ -99,6 +130,10 @@ class StorageTier {
     std::string what;         ///< chunk name, for fault/log attribution
     std::size_t offset = 0;   ///< logical byte offset in the striped file
     std::vector<Segment> segments;
+    /// Expected checksum of the source bytes (fnv1a chained over the
+    /// segments in order, e.g. via checksum_elements), recorded when the
+    /// chunk was written; unset, the tier hashes the sources itself.
+    std::optional<std::uint64_t> checksum;
     /// Fired (from poll/drain/queue pressure) with the completion time.
     std::function<void(double complete_s)> on_complete;
   };
@@ -138,11 +173,13 @@ class StorageTier {
 
   /// Synchronous convenience: submit and immediately retire.
   double read_chunk(std::string what, std::size_t offset,
-                    std::vector<Segment> segments) {
+                    std::vector<Segment> segments,
+                    std::optional<std::uint64_t> checksum = std::nullopt) {
     ReadRequest r;
     r.what = std::move(what);
     r.offset = offset;
     r.segments = std::move(segments);
+    r.checksum = checksum;
     const double done = submit(std::move(r));
     poll(done);
     return done;
@@ -187,13 +224,13 @@ class StorageTier {
   }
 
   static std::uint64_t checksum_src(const std::vector<Segment>& segs) {
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = kFnvBasis;
     for (const Segment& s : segs) h = fnv1a(s.src, s.bytes, h);
     return h;
   }
 
   static std::uint64_t checksum_dst(const std::vector<Segment>& segs) {
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = kFnvBasis;
     for (const Segment& s : segs) h = fnv1a(s.dst, s.bytes, h);
     return h;
   }
@@ -224,7 +261,8 @@ class StorageTier {
     for (const Segment& s : r.segments) demand += s.bytes;
     ACSR_CHECK(demand > 0);
     stats_.demand_bytes += demand;
-    const std::uint64_t want = checksum_src(r.segments);
+    const std::uint64_t want =
+        r.checksum ? *r.checksum : checksum_src(r.segments);
     const std::vector<Extent> extents = mapper_.map(r.offset, demand);
     const int first_drive = extents.front().drive;
 

@@ -57,6 +57,15 @@ class Device {
     return DeviceBuffer<T>(arena_, n, std::move(name));
   }
 
+  /// Allocate a buffer whose contents are `host_data`, moved in: no copy
+  /// and no transfer charge (the caller charges the upload it models).
+  template <class T>
+  DeviceBuffer<T> adopt(std::vector<T>&& host_data, std::string name) {
+    if (fault_injection_enabled() && lost_) [[unlikely]]
+      fail_lost("alloc of '" + name + "'");
+    return DeviceBuffer<T>(arena_, std::move(host_data), std::move(name));
+  }
+
   /// Allocate and fill from host data, charging the H2D transfer.
   template <class T>
   DeviceBuffer<T> upload(const std::vector<T>& host_data, std::string name) {
@@ -104,14 +113,13 @@ class Device {
   /// no std::function materialisation (children the kernel enqueues are
   /// the only owned copies).
   KernelRun launch(const LaunchConfig& cfg, KernelRef fn,
-                   std::unordered_set<std::uint64_t>* group_l2 = nullptr);
+                   SectorSet* group_l2 = nullptr);
 
   /// Convenience wrapper for warp-granularity kernels: `fn(Warp&)` is run
   /// for every warp of the grid.
   template <class F>
   KernelRun launch_warps(const LaunchConfig& cfg, F&& fn,
-                         std::unordered_set<std::uint64_t>* group_l2 =
-                             nullptr) {
+                         SectorSet* group_l2 = nullptr) {
     auto body = [&fn](Block& blk) {
       blk.each_warp([&fn](Warp& w) { fn(w); });
     };
@@ -182,7 +190,7 @@ class ConcurrentGroup {
 
  private:
   Device& dev_;
-  std::unordered_set<std::uint64_t> l2_;
+  SectorSet l2_;
   std::vector<KernelRun> runs_;
 };
 

@@ -191,15 +191,20 @@ class DeviceBuffer {
         name_(std::move(name)),
         addr_(arena.allocate(n * sizeof(T), name_)),
         data_(n) {
-    // Register the backing bytes as an ECC/corruption flip target. The
-    // fault_registered_ flag — not the global — gates unregistration, so a
-    // buffer outliving a FaultInjector::disable() still cleans up and a
-    // buffer created while disabled never leaves a dangling registry entry.
-    if (fault_injection_enabled() && !data_.empty()) {
-      FaultInjector::instance().register_buffer(addr_, data_.data(), bytes(),
-                                                name_, arena_);
-      fault_registered_ = true;
-    }
+    register_fault_target();
+  }
+
+  /// A buffer whose contents are `host_data`, moved in with no copy. Like
+  /// a host() fill, it initializes the whole buffer.
+  DeviceBuffer(MemoryArena& arena, std::vector<T>&& host_data,
+               std::string name)
+      : arena_(&arena),
+        name_(std::move(name)),
+        addr_(arena.allocate(host_data.size() * sizeof(T), name_)),
+        data_(std::move(host_data)) {
+    register_fault_target();
+    if (sanitizer_enabled())
+      Sanitizer::instance().mark_initialized(addr_, bytes());
   }
 
   DeviceBuffer(const DeviceBuffer&) = delete;
@@ -254,6 +259,18 @@ class DeviceBuffer {
       }
       arena_->release(addr_, data_.size() * sizeof(T), name_);
       arena_ = nullptr;
+    }
+  }
+
+  /// Register the backing bytes as an ECC/corruption flip target. The
+  /// fault_registered_ flag — not the global — gates unregistration, so a
+  /// buffer outliving a FaultInjector::disable() still cleans up and a
+  /// buffer created while disabled never leaves a dangling registry entry.
+  void register_fault_target() {
+    if (fault_injection_enabled() && !data_.empty()) {
+      FaultInjector::instance().register_buffer(addr_, data_.data(), bytes(),
+                                                name_, arena_);
+      fault_registered_ = true;
     }
   }
 

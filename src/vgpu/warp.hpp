@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.hpp"
@@ -38,6 +37,7 @@
 #include "vgpu/device_spec.hpp"
 #include "vgpu/lane_array.hpp"
 #include "vgpu/memory.hpp"
+#include "vgpu/sector_set.hpp"
 
 namespace acsr::vgpu {
 
@@ -156,7 +156,7 @@ struct KernelEnv {
   // their accesses: a sector any kernel of the group already pulled is not
   // fetched from DRAM again. Owned by the ConcurrentGroup, shared by its
   // launches.
-  std::unordered_set<std::uint64_t>* group_l2 = nullptr;
+  SectorSet* group_l2 = nullptr;
   // Hoisted per-launch decisions (Device::launch re-captures them): whether
   // sanitizer instrumentation is live, and whether the analytic affine
   // fast path may run (never under the sanitizer or reference metering).
@@ -1032,7 +1032,7 @@ class Warp {
   /// current concurrent group already pulled it into L2.
   int group_miss(std::uint64_t seg) {
     if (env_.group_l2 == nullptr) return 1;
-    return env_.group_l2->insert(seg).second ? 1 : 0;
+    return env_.group_l2->insert(seg) ? 1 : 0;
   }
 
   /// `active` and `useful_bytes` feed only the profiler's lane tallies

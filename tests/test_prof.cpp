@@ -564,6 +564,50 @@ TEST_F(Prof, DiffMetricsFlagsDriftAndStructuralChanges) {
   EXPECT_TRUE(std::isnan(missing[0].current));
 }
 
+TEST_F(Prof, DiffMetricsGatesEveryCounterRowExactly) {
+  acsr::set_plane(&acsr::Planes::prof, true);
+  Profiler& p = Profiler::instance();
+  const Csr<double> a = test_matrix();
+  {
+    Device dev(DeviceSpec::gtx_titan());
+    acsr::prof::capture_engine_spmv<double>("csr-vector", dev, a);
+  }
+  acsr::set_plane(&acsr::Planes::prof, false);
+  const Value doc = acsr::prof::metrics_doc(p.launches(),
+                                            p.retry_backoff_s());
+  auto total_of = [](Value& d) -> Value& {
+    return d.as_object().at("engines").as_object().at("csr-vector")
+        .as_object().at("total");
+  };
+
+  // A one-count change to any counters.* row is drift at any threshold,
+  // marked exact; derived rows keep their relative tolerance.
+  int counter_rows = 0;
+  for (const auto& m : acsr::prof::registry<KernelAgg>()) {
+    const std::string name = m.name;
+    if (name.rfind("counters.", 0) != 0) continue;
+    ++counter_rows;
+    Value bumped = doc;
+    Value& v = total_of(bumped).as_object().at(name);
+    v = v.as_number() + 1.0;
+    const auto drifts = acsr::prof::diff_metrics(bumped, doc, 0.10);
+    ASSERT_EQ(drifts.size(), 1u) << name;
+    EXPECT_EQ(drifts[0].path, "engines/csr-vector/total/" + name);
+    EXPECT_TRUE(drifts[0].exact) << name;
+    EXPECT_EQ(drifts[0].current - drifts[0].baseline, 1.0) << name;
+    EXPECT_EQ(acsr::prof::diff_metrics(bumped, doc, 1e9).size(), 1u) << name;
+  }
+  EXPECT_EQ(counter_rows, 17);
+
+  Value nudged = doc;
+  Value& ms = total_of(nudged).as_object().at("model_ms");
+  ms = ms.as_number() * 1.05;
+  EXPECT_TRUE(acsr::prof::diff_metrics(nudged, doc, 0.10).empty());
+  const auto drifts = acsr::prof::diff_metrics(nudged, doc, 0.01);
+  ASSERT_EQ(drifts.size(), 1u);
+  EXPECT_FALSE(drifts[0].exact);
+}
+
 // --- app phase markers ------------------------------------------------------
 
 TEST_F(Prof, AppPhaseMarkersChargeTheProfilerClock) {

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -283,6 +285,134 @@ TEST_F(Storage, PersistentCorruptionEscapesTyped) {
                acsr::vgpu::ChunkChecksumMismatch);
   EXPECT_EQ(tier.stats().checksum_failures,
             static_cast<std::uint64_t>(TierConfig{}.max_retries) + 1);
+}
+
+// --- checksum recorded by the caller ----------------------------------------
+
+/// A three-segment chunk whose segment sizes (13, 20 and 14 bytes) are not
+/// multiples of 8: the word-wise hash covers word bodies, byte tails and
+/// segment boundaries.
+struct OddChunk {
+  std::vector<unsigned char> a = std::vector<unsigned char>(13);
+  std::vector<std::int32_t> b = std::vector<std::int32_t>(5);
+  std::vector<std::int16_t> c = std::vector<std::int16_t>(7);
+  std::vector<unsigned char> da = std::vector<unsigned char>(13);
+  std::vector<std::int32_t> db = std::vector<std::int32_t>(5);
+  std::vector<std::int16_t> dc = std::vector<std::int16_t>(7);
+
+  OddChunk() {
+    for (std::size_t i = 0; i < a.size(); ++i)
+      a[i] = static_cast<unsigned char>(37 * i + 11);
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = static_cast<std::int32_t>(0x01020304 * (i + 1));
+    for (std::size_t i = 0; i < c.size(); ++i)
+      c[i] = static_cast<std::int16_t>(-300 * static_cast<int>(i) + 7);
+  }
+
+  std::vector<Segment> segments() {
+    using acsr::storage::make_segment;
+    return {make_segment(a, 0, da, a.size()), make_segment(b, 0, db, b.size()),
+            make_segment(c, 0, dc, c.size())};
+  }
+
+  /// The checksum a writer records: checksum_elements chained over the
+  /// segments in order.
+  std::uint64_t checksum() const {
+    using acsr::storage::checksum_elements;
+    std::uint64_t h = checksum_elements(a, 0, a.size());
+    h = checksum_elements(b, 0, b.size(), h);
+    return checksum_elements(c, 0, c.size(), h);
+  }
+
+  bool delivered() const { return da == a && db == b && dc == c; }
+};
+
+TEST_F(Storage, ChecksumElementsMatchesTheSegmentHash) {
+  OddChunk k;
+  std::uint64_t h = acsr::storage::kFnvBasis;
+  for (const Segment& s : k.segments())
+    h = acsr::storage::fnv1a(s.src, s.bytes, h);
+  EXPECT_EQ(k.checksum(), h);
+  // An empty range leaves the chain where it was.
+  EXPECT_EQ(acsr::storage::checksum_elements(k.a, 3, 0, h), h);
+}
+
+TEST_F(Storage, EveryBitFlipOfAnOddSizedChunkFailsArrival) {
+  // The recorded checksum describes the pristine chunk; flipping one
+  // source bit makes the tier deliver bytes that differ from it in that
+  // one bit, which the arrival check must reject, for every bit.
+  OddChunk k;
+  const std::uint64_t want = k.checksum();
+  TierConfig cfg;
+  cfg.max_retries = 0;
+  std::vector<Segment> segs = k.segments();
+  std::size_t flips = 0;
+  for (const Segment& s : segs) {
+    auto* src = const_cast<unsigned char*>(s.src);
+    for (std::size_t byte = 0; byte < s.bytes; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        src[byte] ^= static_cast<unsigned char>(1u << bit);
+        StreamTimeline tl;
+        StorageTier tier(tl, cfg);
+        EXPECT_THROW(tier.read_chunk("slab0", 0, segs, want),
+                     acsr::vgpu::ChunkChecksumMismatch)
+            << "flip of bit " << bit << " in byte " << byte;
+        EXPECT_EQ(tier.stats().checksum_failures, 1u);
+        src[byte] ^= static_cast<unsigned char>(1u << bit);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(flips, 8u * (13 + 20 + 14));
+  StreamTimeline tl;
+  StorageTier tier(tl, cfg);
+  tier.read_chunk("slab0", 0, segs, want);  // restored: arrives clean
+  EXPECT_TRUE(k.delivered());
+}
+
+TEST_F(Storage, SuppliedChecksumBehavesLikeComputedOne) {
+  // Same fault plan, same chunk: a read that brings its recorded checksum
+  // and one whose checksum the tier computes deliver the same bytes at
+  // the same instant with the same io accounting.
+  for (const char* plan :
+       {"", "io_checksum@read#1:seed=5", "io_checksum@read#1*2:seed=9",
+        "io_transient@read#1;io_checksum@read#2:seed=3"}) {
+    SCOPED_TRACE(plan);
+    auto run = [plan](bool supplied) {
+      if (*plan != '\0') FaultInjector::instance().configure(plan);
+      OddChunk k;
+      StreamTimeline tl;
+      StorageTier tier(tl, TierConfig{});
+      const double done =
+          supplied ? tier.read_chunk("slab0", 0, k.segments(), k.checksum())
+                   : tier.read_chunk("slab0", 0, k.segments());
+      EXPECT_TRUE(k.delivered());
+      FaultInjector::instance().disable();
+      return std::make_pair(done, tier.stats());
+    };
+    const auto [done_c, io_c] = run(false);
+    const auto [done_s, io_s] = run(true);
+    EXPECT_EQ(done_s, done_c);
+    EXPECT_EQ(io_s.reads, io_c.reads);
+    EXPECT_EQ(io_s.retries, io_c.retries);
+    EXPECT_EQ(io_s.checksum_failures, io_c.checksum_failures);
+    EXPECT_EQ(io_s.read_bytes, io_c.read_bytes);
+    EXPECT_EQ(io_s.demand_bytes, io_c.demand_bytes);
+    EXPECT_EQ(io_s.read_s, io_c.read_s);
+    EXPECT_EQ(io_s.penalty_s, io_c.penalty_s);
+  }
+}
+
+TEST_F(Storage, WrongSuppliedChecksumEscapesOnceBudgetIsSpent) {
+  OddChunk k;
+  StreamTimeline tl;
+  StorageTier tier(tl, TierConfig{});
+  EXPECT_THROW(tier.read_chunk("slab0", 0, k.segments(), k.checksum() ^ 1),
+               acsr::vgpu::ChunkChecksumMismatch);
+  const auto budget = static_cast<std::uint64_t>(TierConfig{}.max_retries);
+  EXPECT_EQ(tier.stats().checksum_failures, budget + 1);
+  EXPECT_EQ(tier.stats().retries, budget);
+  EXPECT_EQ(tier.stats().reads, budget + 1);
 }
 
 TEST_F(Storage, DegradedDriveScalesServiceTime) {

@@ -1,10 +1,18 @@
 // Edge cases across the vgpu substrate: buffer ownership moves, shared-
 // memory regions, launch validation, zero-fill accounting, scalar loads,
-// and the serial-gmem path used by the update kernel.
+// the serial-gmem path used by the update kernel, and the flat sector set
+// behind a concurrent group's shared L2.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <unordered_set>
+#include <vector>
 
 #include "spmv/engine.hpp"
 #include "vgpu/device.hpp"
+#include "vgpu/sector_set.hpp"
 
 namespace {
 
@@ -130,6 +138,86 @@ TEST(CountersAccumulate, PlusEqualsSumsEveryField) {
   EXPECT_EQ(a.gmem_bytes, 150u);
   EXPECT_EQ(a.child_launches, 2u);
   EXPECT_EQ(a.atomic_ops, 7u);
+}
+
+// --- the concurrent group's sector set --------------------------------------
+
+/// Feeds every key to SectorSet and to std::unordered_set, the set it
+/// replaced, and requires the same insert answer and size at every step
+/// and a load of at most 3/4.
+class SectorSetVsReference {
+ public:
+  void insert(std::uint64_t key) {
+    const bool got = flat_.insert(key);
+    const bool want = ref_.insert(key).second;
+    ASSERT_EQ(got, want) << "key " << key << " at step " << steps_;
+    ASSERT_EQ(flat_.size(), ref_.size()) << "step " << steps_;
+    ASSERT_LE(4 * flat_.size(), 3 * flat_.capacity() + 4)
+        << "load above 3/4 at step " << steps_;
+    ++steps_;
+  }
+  const SectorSet& flat() const { return flat_; }
+
+ private:
+  SectorSet flat_;
+  std::unordered_set<std::uint64_t> ref_;
+  std::size_t steps_ = 0;
+};
+
+TEST(SectorSetTest, SeededRandomSequencesMatchUnorderedSet) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 2014u}) {
+    std::mt19937_64 rng(seed);
+    SectorSetVsReference s;
+    // Dense ids with many repeats (a sweep's sectors), then wide ids.
+    std::uniform_int_distribution<std::uint64_t> dense(0, 5000);
+    for (int i = 0; i < 20000; ++i) s.insert(dense(rng));
+    for (int i = 0; i < 20000; ++i) s.insert(rng());
+  }
+}
+
+TEST(SectorSetTest, AdversarialKeysMatchUnorderedSet) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  SectorSetVsReference s;
+  // The extremes, including the all-ones key that marks an empty slot.
+  for (const std::uint64_t k : {std::uint64_t{0}, kMax - 1, kMax, kMax - 1,
+                                std::uint64_t{0}, kMax, std::uint64_t{1}})
+    s.insert(k);
+  // Keys whose hash products are 0, 1, 2, ...: they share a home slot at
+  // every table size up to 2^58, so every insert probes the whole run.
+  std::uint64_t inv = SectorSet::kMultiplier;  // inverse mod 2^64 (Newton)
+  for (int i = 0; i < 6; ++i) inv *= 2 - SectorSet::kMultiplier * inv;
+  ASSERT_EQ(inv * SectorSet::kMultiplier, 1u);
+  for (std::uint64_t j = 0; j < 3000; ++j) s.insert(j * inv);
+  for (std::uint64_t j = 0; j < 3000; j += 7) s.insert(j * inv);  // repeats
+  // Sector ids of aligned sweeps over two buffers 16 TiB apart.
+  for (std::uint64_t a = 0; a < 4000; ++a) {
+    s.insert((0x10000 + 32 * a) / 32);
+    s.insert((0x100000010000ULL + 32 * a) / 32);
+  }
+}
+
+TEST(SectorSetTest, EveryGrowthBoundaryKeepsEveryKey) {
+  SectorSetVsReference s;
+  std::vector<std::uint64_t> keys;
+  std::size_t cap = 0;
+  int growths = 0;
+  for (std::uint64_t i = 0; i < 50000; ++i) {
+    const std::uint64_t k = i * 0x10001 + 7;
+    s.insert(k);
+    keys.push_back(k);
+    if (s.flat().capacity() != cap) {
+      // Grown (or first allocated): every key inserted so far, including
+      // the one that triggered it, must still be found, and is not new.
+      if (cap != 0) {
+        EXPECT_EQ(s.flat().capacity(), 2 * cap);
+      }
+      cap = s.flat().capacity();
+      ++growths;
+      for (const std::uint64_t old : keys) s.insert(old);
+    }
+  }
+  EXPECT_EQ(s.flat().size(), 50000u);
+  EXPECT_EQ(growths, 12);  // 64 -> 131072 slots
 }
 
 }  // namespace

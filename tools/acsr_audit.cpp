@@ -27,6 +27,7 @@
 
 #include "analysis/audit_passes.hpp"
 #include "analysis/charge_models.hpp"
+#include "common/cli.hpp"
 #include "core/engine_registry.hpp"
 #include "vgpu/device_spec.hpp"
 
@@ -178,7 +179,7 @@ void sweep_defects(const Options& opt, AuditReport& rep) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -250,4 +251,8 @@ int main(int argc, char** argv) {
     std::cerr << "acsr_audit: " << e.what() << "\n";
     return 2;
   }
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

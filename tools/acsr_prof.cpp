@@ -136,7 +136,7 @@ bool write_text(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -242,17 +242,27 @@ int main(int argc, char** argv) {
         acsr::prof::diff_metrics(doc, baseline, opt.threshold);
     if (drifts.empty()) {
       std::cout << "acsr_prof: no metric drift beyond "
-                << opt.threshold * 100.0 << "% vs " << opt.diff_path
-                << "\n";
+                << opt.threshold * 100.0 << "% (counters.* exact) vs "
+                << opt.diff_path << "\n";
     } else {
       std::cout << "acsr_prof: " << drifts.size()
                 << " metric(s) drifted beyond " << opt.threshold * 100.0
-                << "% vs " << opt.diff_path << ":\n";
-      for (const acsr::prof::Drift& d : drifts)
-        std::printf("  %-55s %14.6g -> %14.6g  (%+.1f%%)\n",
-                    d.path.c_str(), d.baseline, d.current, d.rel * 100.0);
-      return 3;  // drift exit code: callers decide whether it is fatal
+                << "% (counters.* exact) vs " << opt.diff_path << ":\n";
+      bool exact = false;
+      for (const acsr::prof::Drift& d : drifts) {
+        std::printf("  %-55s %14.6g -> %14.6g  (%+.1f%%)%s\n",
+                    d.path.c_str(), d.baseline, d.current, d.rel * 100.0,
+                    d.exact ? "  [exact]" : "");
+        exact = exact || d.exact;
+      }
+      // Drift exit codes: 5 when an integer work counter changed at all,
+      // 3 when only derived metrics moved; callers decide what is fatal.
+      return exact ? 5 : 3;
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -119,7 +119,7 @@ void render_slo(const acsr::slo::SloMonitor& mon) {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+static int run_program(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -225,14 +225,15 @@ int main(int argc, char** argv) try {
                 << " SLO breach(es) vs " << opt.check_path << ":\n";
       for (const acsr::slo::BreachEvent& ev : breaches)
         std::cout << "  " << ev.describe() << "\n";
-      return 4;  // breach exit code (acsr_prof owns 3 for metric drift)
+      return 4;  // breach exit code (acsr_prof owns 3 and 5 for metric drift)
     }
     if (!opt.quiet)
       std::cout << "acsr_slo: all tenants within objectives vs "
                 << opt.check_path << "\n";
   }
   return 0;
-} catch (const acsr::InputError& e) {
-  std::cerr << "acsr_slo: " << e.what() << "\n";
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }

@@ -17,6 +17,7 @@
 
 #include "analysis/models.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "vgpu/device_spec.hpp"
 
 namespace {
@@ -105,7 +106,7 @@ int sweep_defects(const Options& opt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_program(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -141,4 +142,8 @@ int main(int argc, char** argv) {
     std::cerr << "acsr_verify: " << e.what() << "\n";
     return 2;
   }
+}
+
+int main(int argc, char** argv) {
+  return acsr::guarded_main(argc, argv, run_program);
 }
